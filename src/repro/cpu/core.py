@@ -21,6 +21,14 @@ stream of event objects, :meth:`Core.execute_compiled` iterates a
 :class:`~repro.trace.compiled.CompiledTrace`'s columns directly.  They
 issue the identical instruction sequence — the differential tests assert
 their statistics byte-for-byte equal.
+
+The compiled replay has one per-event body, :meth:`Core.run_span`, which
+runs events from a position until an issue-time frontier, the trace's
+end, or a reference limit.  Three callers share it: ``execute_compiled``
+(one unbounded span), the fused co-run scheduler (one span per
+arbitration stretch, bounded by the other cores' next issue times), and
+the vectorized backend's scalar catch-up (a ``-inf`` frontier, so
+exactly one event).
 """
 
 from repro.trace.compiled import K_BOUND, K_OPS, K_SETBASE, K_STORE
@@ -40,6 +48,9 @@ def _directive_event(kind, a, b, c):
     if kind == K_SETBASE:
         return SetIndirectBase(a, b)
     return IndirectPrefetch(a, b, c)
+
+
+_INF = float("inf")
 
 
 class Core:
@@ -202,22 +213,66 @@ class Core:
         """Run a :class:`~repro.trace.compiled.CompiledTrace`.
 
         Issues the identical instruction sequence :meth:`execute` would
-        for the same events, but iterates the trace's columns directly —
-        no per-event objects, no attribute loads, hint lookups resolved
-        per static reference id — with the issue-ring arithmetic and the
-        hierarchy's L1 probe inlined into the loop (each replicating the
-        out-of-line code operation for operation; the differential tests
-        compare the resulting statistics byte for byte).
+        for the same events: one unbounded :meth:`run_span` over the
+        whole trace.
+        """
+        if len(trace.kinds):
+            self.run_span(self.bind_compiled(trace), 0,
+                          limit_refs=limit_refs)
+        return self.cycles
 
-        The inline L1 path only runs for configurations whose ``access``
-        takes no per-reference detours: reference runs, TLB-enabled
-        configs, and trace-sink runs take the out-of-line ``access``.
+    def bind_compiled(self, trace):
+        """Hoist everything :meth:`run_span` reads per event into a tuple.
+
+        Built once per (core, trace) and passed to every span: the
+        trace's columns, hints resolved per static reference id, the
+        hierarchy's bound methods, and the L1 internals the inline probe
+        touches.  ``general`` selects the out-of-line ``access`` path for
+        configurations whose access takes per-reference detours:
+        reference runs, TLB-enabled configs, and trace-sink runs.
         """
         hierarchy = self.hierarchy
-        hints = trace.resolve_hints(self.hint_table)
-        ref_names = trace.ref_names
-        kinds = trace.kinds
-        f0, f1, f2 = trace.f0, trace.f1, trace.f2
+        l1 = hierarchy.l1
+        metrics = hierarchy.metrics
+        adapt = getattr(hierarchy, "adapt", None)
+        general = (
+            hierarchy.reference
+            or hierarchy.tlb is not None
+            or metrics.sink is not None
+        )
+        return (
+            trace.kinds, trace.f0, trace.f1, trace.f2,
+            trace.resolve_hints(self.hint_table), trace.ref_names,
+            len(trace.kinds), general, hierarchy.access,
+            hierarchy.directive, hierarchy._perfect_l1, l1.latency,
+            l1._index, l1._sets, l1._block_shift, l1._set_mask, l1.stats,
+            l1._shadow, hierarchy._block_mask, hierarchy.stats, metrics,
+            metrics.series, hierarchy.controller.issue_prefetches,
+            hierarchy._has_candidates, hierarchy.access_after_l1_miss,
+            adapt.note_access if adapt is not None else None,
+        )
+
+    def run_span(self, ctx, pos, frontier=_INF, limit_refs=None):
+        """Replay compiled events from ``pos``; return the next position.
+
+        ``ctx`` comes from :meth:`bind_compiled`.  The event at ``pos``
+        always runs; each later one runs only while its issue time
+        ``max(clock, ring[head])`` stays below ``frontier``, so
+        ``frontier=-inf`` replays exactly one event.  The span also ends
+        at the trace's end or after ``limit_refs`` memory references.
+        The caller guarantees ``pos`` is inside the trace.
+
+        This is the one per-event body of the compiled replay: the
+        issue-ring arithmetic and the hierarchy's L1 probe are inlined,
+        each replicating the out-of-line code operation for operation
+        (the differential tests compare the resulting statistics byte
+        for byte against :meth:`execute`).
+        """
+        (kinds, f0, f1, f2, hints, ref_names, n_events, general, access,
+         directive, perfect_l1, l1_latency, l1_index, l1_sets, l1_shift,
+         l1_set_mask, l1_stats, l1_shadow, block_mask, hstats, metrics,
+         series, issue_prefetches, has_candidates, miss_path,
+         note_access) = ctx
         window = self.window
         inv = self.inv_width
         ring = self._ring
@@ -226,44 +281,18 @@ class Core:
         instructions = self.instructions
         load_stall = self.load_stall_cycles
         refs = 0
-
-        general = (
-            hierarchy.reference
-            or hierarchy.tlb is not None
-            or hierarchy.metrics.sink is not None
-        )
-        adapt = getattr(hierarchy, "adapt", None)
-        note_access = adapt.note_access if adapt is not None else None
-        access = hierarchy.access
-        if not general:
-            l1 = hierarchy.l1
-            l1_index = l1._index
-            l1_sets = l1._sets
-            l1_shift = l1._block_shift
-            l1_set_mask = l1._set_mask
-            l1_stats = l1.stats
-            l1_shadow = l1._shadow
-            l1_latency = l1.latency
-            block_mask = hierarchy._block_mask
-            hstats = hierarchy.stats
-            perfect_l1 = hierarchy._perfect_l1
-            metrics = hierarchy.metrics
-            series = metrics.series
-            issue_prefetches = hierarchy.controller.issue_prefetches
-            has_candidates = hierarchy._has_candidates
-            miss_path = hierarchy.access_after_l1_miss
-
+        e = ring[head]
+        # max(clock, ring[head]): first argument wins ties.
+        now = clock if clock >= e else e
         try:
-            for i, kind in enumerate(kinds):
+            while True:
+                kind = kinds[pos]
                 if kind <= K_STORE:
                     is_store = kind == K_STORE
-                    e = ring[head]
-                    # max(clock, ring[head]): first argument wins ties.
-                    now = clock if clock >= e else e
                     if general:
-                        ridx = f0[i]
+                        ridx = f0[pos]
                         ready = access(
-                            f1[i], now, is_store=is_store,
+                            f1[pos], now, is_store=is_store,
                             ref_id=ref_names[ridx], hint=hints[ridx],
                         )
                     elif perfect_l1:
@@ -282,7 +311,7 @@ class Core:
                             issue_prefetches(now)
                         if now >= series._next:
                             metrics.tick(now)
-                        block = f1[i] & block_mask
+                        block = f1[pos] & block_mask
                         line = l1_index.get(block)
                         if line is not None:
                             # Cache.access_block hit path, inlined.
@@ -305,9 +334,9 @@ class Core:
                             if l1_shadow and \
                                     l1_shadow.pop(block, None) is not None:
                                 l1_stats.pollution_misses += 1
-                            ridx = f0[i]
+                            ridx = f0[pos]
                             ready = miss_path(
-                                block, f1[i], now, is_store,
+                                block, f1[pos], now, is_store,
                                 ref_names[ridx], hints[ridx],
                             )
                     latency = ready - now
@@ -326,17 +355,19 @@ class Core:
                     s = clock - before - inv
                     if s > 0.0:
                         load_stall += s
-                    refs += 1
                     if note_access is not None:
                         # Adaptive epoch check at the same point, with
                         # the same post-issue clock, as execute() — the
                         # boundary reads only counters both paths update
                         # identically, preserving fast==slow equivalence.
                         note_access(clock)
-                    if limit_refs is not None and refs >= limit_refs:
-                        break
+                    if limit_refs is not None:
+                        refs += 1
+                        if refs >= limit_refs:
+                            pos += 1
+                            break
                 elif kind == K_OPS:
-                    count = f0[i]
+                    count = f0[pos]
                     if count <= 32:
                         # _issue_ops' exact small-batch path, inlined.
                         for _ in range(count):
@@ -350,17 +381,40 @@ class Core:
                                 head = 0
                         instructions += count
                     else:
-                        self._clock = clock
-                        self._head = head
-                        self.instructions = instructions
-                        self._issue_ops(count)
-                        clock = self._clock
-                        head = self._head
-                        instructions = self.instructions
+                        # _issue_ops' closed form (count > 32), inlined
+                        # (same operations, same order).
+                        base = clock
+                        clock = base + count * inv
+                        if max(ring) > base:
+                            slot = head
+                            for d in range(
+                                    count if count < window else window):
+                                completion = ring[slot]
+                                if completion > base:
+                                    candidate = completion + (count - d) * inv
+                                    if candidate > clock:
+                                        clock = candidate
+                                slot += 1
+                                if slot == window:
+                                    slot = 0
+                        fill = clock + 1.0
+                        if count >= window:
+                            ring[:] = [fill] * window
+                            head = 0
+                        else:
+                            end = head + count
+                            if end <= window:
+                                ring[head:end] = [fill] * count
+                                head = 0 if end == window else end
+                            else:
+                                ring[head:] = [fill] * (window - head)
+                                end -= window
+                                ring[:end] = [fill] * end
+                                head = end
+                        instructions += count
                 else:
-                    event = _directive_event(kind, f0[i], f1[i], f2[i])
-                    # _issue(1.0), inlined.
-                    e = ring[head]
+                    event = _directive_event(kind, f0[pos], f1[pos], f2[pos])
+                    # _issue(1.0), inlined (e is still ring[head]).
                     c = clock + inv
                     if e > c:
                         c = e
@@ -371,13 +425,20 @@ class Core:
                     if head == window:
                         head = 0
                     instructions += 1
-                    hierarchy.directive(event, completion)
+                    directive(event, completion)
+                pos += 1
+                if pos == n_events:
+                    break
+                e = ring[head]
+                now = clock if clock >= e else e
+                if now >= frontier:
+                    break
         finally:
             self._clock = clock
             self._head = head
             self.instructions = instructions
             self.load_stall_cycles = load_stall
-        return self.cycles
+        return pos
 
     def execute_vectorized(self, trace, limit_refs=None):
         """Replay a compiled trace with the numpy batch backend.

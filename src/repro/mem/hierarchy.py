@@ -240,8 +240,8 @@ class Hierarchy:
     def access_after_l1_miss(self, block, addr, now, is_store, ref_id, hint):
         """The L2-and-below half of :meth:`access`.
 
-        Split out so :meth:`Core.execute_compiled`'s fused loop, which
-        inlines the L1 probe, can fall into the identical miss handling.
+        Split out so :meth:`Core.run_span`'s fused loop, which inlines
+        the L1 probe, can fall into the identical miss handling.
         """
         # L1 miss: the L2 lookup starts after the L1 probe.
         t = now + self.l1.latency

@@ -247,8 +247,7 @@ class MultiCoreSimulator:
     arbitration step, every core going through the out-of-line
     ``Hierarchy.access`` path.  It is the semantic reference the fused
     backend (:mod:`repro.sim.multicore_fused`) is pinned against —
-    byte-identical ``CoRunResult.to_dict()`` for every spec both can
-    run — and the fallback for the configurations fused declines.
+    byte-identical ``CoRunResult.to_dict()`` for every spec.
     """
 
     #: Subclasses flip this to build cells with compiled columnar traces
@@ -333,12 +332,9 @@ def execute_corun(spec, solo_baseline=True):
     """Run the co-run a :class:`~repro.sim.spec.CoRunSpec` describes.
 
     The spec's ``backend`` field (resolved through
-    :func:`repro.sim.runner.resolve_corun_backend`, so ``auto`` honors
-    ``REPRO_CORUN_BACKEND``) picks the replay loop: ``fused`` is the
-    skip-ahead stretch scheduler, ``stepped`` the per-event reference.
-    A config the fused loop cannot replay exactly (TLB enabled) falls
-    back to stepped — a silent degradation, never an error, mirroring
-    the single-core vectorized backend's no-numpy fallback.
+    :func:`repro.sim.runner.resolve_corun_backend`, so ``auto`` means
+    fused) picks the replay loop: ``fused`` is the skip-ahead stretch
+    scheduler, ``stepped`` the per-event reference.
 
     Returns a :class:`~repro.sim.stats.CoRunResult`: one SimStats per
     core plus the shared-level interference summary.  With
@@ -354,14 +350,9 @@ def execute_corun(spec, solo_baseline=True):
 
     backend = resolve_corun_backend(getattr(spec, "backend", "auto"))
     if backend == "fused":
-        from repro.sim.multicore_fused import (
-            FusedMultiCoreSimulator, supports,
-        )
+        from repro.sim.multicore_fused import FusedMultiCoreSimulator
 
-        if supports(spec.machine_config()):
-            simulator = FusedMultiCoreSimulator(spec)
-        else:
-            simulator = MultiCoreSimulator(spec)
+        simulator = FusedMultiCoreSimulator(spec)
     else:
         simulator = MultiCoreSimulator(spec)
     simulator.run()

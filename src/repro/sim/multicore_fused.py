@@ -18,7 +18,8 @@ This module replaces the per-event dispatch with *stretches*:
     owning core's private state, and only the stepping core's state
     moves.  (Shared-level traffic changes what a *future* access of
     another core will cost, but never that core's already-queued issue
-    front — exactly the property the stepped arbiter relies on.)
+    front — exactly the property the stepped arbiter relies on.  A TLB
+    is per-core hierarchy state, so translation does not break it.)
 3.  Run the winner through consecutive events while its next issue time
     stays strictly below the frontier.  The first event after an
     arbitration runs unconditionally (the arbiter already chose this
@@ -31,11 +32,11 @@ This module replaces the per-event dispatch with *stretches*:
     stepping leaves, because every event in the stretch had the same
     winner.
 
-Within a stretch the per-event body is the single-core fast path:
-compiled columnar traces (no event objects, no generator resumes), the
-inlined L1 probe, inlined issue-ring arithmetic — the exact operation
-sequence of ``Core.execute_compiled``'s non-general branch, which the
-single-core differential suite pins against the event interpreter.
+A stretch is one :meth:`~repro.cpu.core.Core.run_span` call: the
+single-core compiled replay body (columnar traces, the inlined L1 probe
+and issue-ring arithmetic, the out-of-line ``access`` for TLB configs),
+which the single-core differential suite pins against the event
+interpreter.
 
 Two pieces of shared state are synchronized at stretch edges instead of
 per event, each justified by monotonicity:
@@ -52,34 +53,15 @@ SRP demand-busy watermark
     syncing the watermark *in* at stretch start and *out* at stretch end
     reproduces the per-event exchange exactly.
 
-Configurations the inline body cannot replay exactly — TLB-enabled
-machines, whose per-reference translation rides the out-of-line
-``access`` path — are declined by :func:`supports`;
-``execute_corun`` falls back to the stepped loop (a degradation, never
-an error).  Co-run cells never carry a reference-mode hierarchy or a
-trace sink, the other two general-path triggers.
-
-The contract: for every :class:`~repro.sim.spec.CoRunSpec` both
-backends accept, ``CoRunResult.to_dict()`` is byte-identical between
-fused and stepped.  ``tests/test_multicore_fused.py`` enforces it over
-the full pair matrix and the 18-core rush-hour mix.
+The contract: for every :class:`~repro.sim.spec.CoRunSpec`,
+``CoRunResult.to_dict()`` is byte-identical between fused and stepped.
+``tests/test_multicore_fused.py`` enforces it over the full pair matrix,
+the 18-core rush-hour mix, and TLB-enabled configs.
 """
 
-from repro.cpu.core import _directive_event
 from repro.sim.multicore import MultiCoreSimulator
-from repro.trace.compiled import K_OPS, K_STORE
 
 _INF = float("inf")
-
-
-def supports(config):
-    """Whether the fused loop can replay co-runs of ``config`` exactly.
-
-    The inline per-event body replicates ``Hierarchy.access`` for plain
-    and perfect-L1/L2 machines; a TLB inserts per-reference translation
-    before the L1 probe, which only the out-of-line path models.
-    """
-    return not getattr(config, "tlb_entries", 0)
 
 
 class FusedMultiCoreSimulator(MultiCoreSimulator):
@@ -94,15 +76,6 @@ class FusedMultiCoreSimulator(MultiCoreSimulator):
 
     COMPILED_CELLS = True
 
-    def __init__(self, spec):
-        config = spec.machine_config()
-        if not supports(config):
-            raise ValueError(
-                "fused co-run backend cannot replay this config exactly "
-                "(TLB enabled); use the stepped backend"
-            )
-        super().__init__(spec)
-
     def run(self):
         """Replay every core's trace to completion; finish the hierarchy.
 
@@ -112,45 +85,16 @@ class FusedMultiCoreSimulator(MultiCoreSimulator):
         cells = self.cells
         shared = self.shared
         n = len(cells)
-        ctxs = []
-        nias = []  # per-core next_issue_at frontier values
-        live = []
+        # Per core: (core, run_span context, controller, trace length).
+        lanes = [
+            (cell.core, cell.core.bind_compiled(cell.trace),
+             cell.hierarchy.controller, len(cell.trace.kinds))
+            for cell in cells
+        ]
+        nias = [cell.core.next_issue_at() for cell in cells]
+        live = [lane[3] > 0 for lane in lanes]
+        remaining = sum(live)
         positions = [0] * n
-        remaining = 0
-        for cell in cells:
-            core = cell.core
-            hierarchy = cell.hierarchy
-            trace = cell.trace
-            if (hierarchy.reference or hierarchy.tlb is not None
-                    or hierarchy.metrics.sink is not None):
-                # supports() gates on the config; this guards the
-                # invariant if a future hierarchy grows general-path
-                # triggers the config does not expose.
-                raise RuntimeError(
-                    "fused co-run loop requires the inline access path")
-            l1 = hierarchy.l1
-            metrics = hierarchy.metrics
-            adapt = getattr(hierarchy, "adapt", None)
-            ctxs.append((
-                trace.kinds, trace.f0, trace.f1, trace.f2,
-                trace.resolve_hints(core.hint_table), trace.ref_names,
-                core, core._ring, core.window, core.inv_width,
-                hierarchy, hierarchy.controller,
-                hierarchy._perfect_l1, l1.latency, l1._index, l1._sets,
-                l1._block_shift, l1._set_mask, l1.stats, l1._shadow,
-                hierarchy._block_mask, hierarchy.stats,
-                metrics, metrics.series,
-                hierarchy.controller.issue_prefetches,
-                hierarchy._has_candidates,
-                hierarchy.access_after_l1_miss,
-                adapt.note_access if adapt is not None else None,
-                len(trace.kinds),
-            ))
-            nias.append(core.next_issue_at())
-            alive = len(trace.kinds) > 0
-            live.append(alive)
-            if alive:
-                remaining += 1
         rr = 0
         watermark = 0
         while remaining:
@@ -180,176 +124,18 @@ class FusedMultiCoreSimulator(MultiCoreSimulator):
                     best_key = key
                 elif key < frontier:
                     frontier = key
-            (kinds, f0, f1, f2, hints, ref_names, core, ring, window,
-             inv, hierarchy, controller, perfect_l1, l1_latency,
-             l1_index, l1_sets, l1_shift, l1_set_mask, l1_stats,
-             l1_shadow, block_mask, hstats, metrics, series,
-             issue_prefetches, has_candidates, miss_path, note_access,
-             n_events) = ctxs[best]
+            core, ctx, controller, n_events = lanes[best]
             shared.set_active(best)
             if watermark > controller.demand_busy_until:
                 controller.demand_busy_until = watermark
+            pos = core.run_span(ctx, positions[best], frontier)
+            positions[best] = pos
+            if pos == n_events:
+                live[best] = False
+                remaining -= 1
+            # core.next_issue_at(), inlined.
             clock = core._clock
-            head = core._head
-            instructions = core.instructions
-            load_stall = core.load_stall_cycles
-            pos = positions[best]
-            first = True
-            try:
-                while True:
-                    e = ring[head]
-                    # max(clock, ring[head]): first argument wins ties.
-                    now = clock if clock >= e else e
-                    if first:
-                        # The arbiter already picked this core for the
-                        # first event; run it unconditionally.
-                        first = False
-                    elif now >= frontier:
-                        # Another core would win (or tie, and ties go
-                        # away from the previous winner): re-arbitrate.
-                        break
-                    kind = kinds[pos]
-                    if kind <= K_STORE:
-                        is_store = kind == K_STORE
-                        if perfect_l1:
-                            if is_store:
-                                hstats.stores += 1
-                            else:
-                                hstats.loads += 1
-                            ready = now + l1_latency
-                        else:
-                            # Hierarchy.access, inlined to the L1 probe
-                            # (Core.execute_compiled's exact body).
-                            if is_store:
-                                hstats.stores += 1
-                            else:
-                                hstats.loads += 1
-                            if has_candidates is not None \
-                                    and has_candidates():
-                                issue_prefetches(now)
-                            if now >= series._next:
-                                metrics.tick(now)
-                            block = f1[pos] & block_mask
-                            line = l1_index.get(block)
-                            if line is not None:
-                                # Cache.access_block hit path, inlined.
-                                l1_stats.demand_accesses += 1
-                                lines = l1_sets[
-                                    (block >> l1_shift) & l1_set_mask]
-                                if lines[-1] is not line:
-                                    lines.remove(line)
-                                    lines.append(line)
-                                if not line.referenced:
-                                    line.referenced = True
-                                    l1_stats.useful_prefetches += 1
-                                if is_store:
-                                    line.dirty = True
-                                l1_stats.demand_hits += 1
-                                ready = now + l1_latency
-                            else:
-                                l1_stats.demand_accesses += 1
-                                l1_stats.demand_misses += 1
-                                if l1_shadow and l1_shadow.pop(
-                                        block, None) is not None:
-                                    l1_stats.pollution_misses += 1
-                                ridx = f0[pos]
-                                ready = miss_path(
-                                    block, f1[pos], now, is_store,
-                                    ref_names[ridx], hints[ridx],
-                                )
-                        latency = ready - now
-                        # _issue(latency), inlined; `before` is the
-                        # pre-issue clock.
-                        before = clock
-                        c = clock + inv
-                        if e > c:
-                            c = e
-                        clock = c
-                        ring[head] = c + latency
-                        head += 1
-                        if head == window:
-                            head = 0
-                        instructions += 1
-                        s = clock - before - inv
-                        if s > 0.0:
-                            load_stall += s
-                        if note_access is not None:
-                            note_access(clock)
-                    elif kind == K_OPS:
-                        count = f0[pos]
-                        if count <= 32:
-                            # _issue_ops' exact small-batch path.
-                            for _ in range(count):
-                                e = ring[head]
-                                clock = clock + inv
-                                if e > clock:
-                                    clock = e
-                                ring[head] = clock + 1.0
-                                head += 1
-                                if head == window:
-                                    head = 0
-                            instructions += count
-                        else:
-                            # _issue_ops' closed form (count > 32),
-                            # inlined (same operations, same order).
-                            base = clock
-                            clock = base + count * inv
-                            if max(ring) > base:
-                                nn = count if count < window else window
-                                slot = head
-                                for d in range(nn):
-                                    completion = ring[slot]
-                                    if completion > base:
-                                        candidate = completion \
-                                            + (count - d) * inv
-                                        if candidate > clock:
-                                            clock = candidate
-                                    slot += 1
-                                    if slot == window:
-                                        slot = 0
-                            fill = clock + 1.0
-                            if count >= window:
-                                ring[:] = [fill] * window
-                                head = 0
-                            else:
-                                end = head + count
-                                if end <= window:
-                                    ring[head:end] = [fill] * count
-                                    head = 0 if end == window else end
-                                else:
-                                    ring[head:] = [fill] * (window - head)
-                                    end -= window
-                                    ring[:end] = [fill] * end
-                                    head = end
-                            instructions += count
-                    else:
-                        event = _directive_event(
-                            kind, f0[pos], f1[pos], f2[pos])
-                        # _issue(1.0), inlined.
-                        e = ring[head]
-                        c = clock + inv
-                        if e > c:
-                            c = e
-                        clock = c
-                        completion = c + 1.0
-                        ring[head] = completion
-                        head += 1
-                        if head == window:
-                            head = 0
-                        instructions += 1
-                        hierarchy.directive(event, completion)
-                    pos += 1
-                    if pos == n_events:
-                        live[best] = False
-                        remaining -= 1
-                        break
-            finally:
-                core._clock = clock
-                core._head = head
-                core.instructions = instructions
-                core.load_stall_cycles = load_stall
-                positions[best] = pos
-            e = ring[head]
+            e = core._ring[core._head]
             nias[best] = clock if clock >= e else e
             if controller.demand_busy_until > watermark:
                 watermark = controller.demand_busy_until

@@ -19,8 +19,6 @@ derived from it, so a newly registered scheme shows up everywhere
 without further edits.
 """
 
-import os
-
 from repro.adapt.engines import (
     AdaptiveChasePrefetcher,
     AdaptiveGazePrefetcher,
@@ -162,22 +160,13 @@ SCHEMES = {
 def resolve_backend(requested="auto"):
     """Resolve a spec's replay-backend request to ``fused``/``vectorized``.
 
-    ``"auto"`` (the default on every spec) consults the ``REPRO_BACKEND``
-    environment variable; a pinned spec backend wins over the
-    environment.  When neither pins a choice, the vectorized backend is
-    used whenever numpy is importable — it is byte-identical to the fused
-    loop in every statistic, so the choice only affects speed.  Unknown
-    names, from either source, are errors rather than silent fallbacks.
+    A pinned spec backend passes through.  ``"auto"`` (the default on
+    every spec) uses the vectorized backend whenever numpy is importable
+    — it is byte-identical to the fused loop in every statistic, so the
+    choice only affects speed.  Unknown names are errors rather than
+    silent fallbacks.
     """
     backend = requested or "auto"
-    if backend == "auto":
-        env = os.environ.get("REPRO_BACKEND", "").strip()
-        if env:
-            if env not in BACKENDS:
-                raise ValueError(
-                    "REPRO_BACKEND=%r is not a known backend (have: %s)"
-                    % (env, ", ".join(BACKENDS)))
-            backend = env
     if backend == "auto":
         from repro.sim import vectorized
         backend = "vectorized" if vectorized.available() else "fused"
@@ -191,27 +180,13 @@ def resolve_backend(requested="auto"):
 def resolve_corun_backend(requested="auto"):
     """Resolve a co-run spec's backend request to ``stepped``/``fused``.
 
-    The multi-core analogue of :func:`resolve_backend`: ``"auto"`` (the
-    default on every :class:`~repro.sim.spec.CoRunSpec`) consults the
-    ``REPRO_CORUN_BACKEND`` environment variable; a pinned spec backend
-    wins over the environment.  When neither pins a choice, the fused
-    skip-ahead loop is used — it is byte-identical to the stepped
-    reference in every statistic (the differential matrix enforces it),
-    so the choice only affects speed.  A resolved ``"fused"`` may still
-    degrade to ``"stepped"`` inside :func:`~repro.sim.multicore.
-    execute_corun` when the configuration falls outside the fused loop's
-    exactness envelope (TLB-enabled configs) — a degradation, never an
-    error, mirroring the vectorized backend's no-numpy fallback.
+    The multi-core analogue of :func:`resolve_backend`: a pinned spec
+    backend passes through, and ``"auto"`` (the default on every
+    :class:`~repro.sim.spec.CoRunSpec`) is the fused skip-ahead loop —
+    byte-identical to the stepped reference in every statistic (the
+    differential matrix enforces it), so the choice only affects speed.
     """
     backend = requested or "auto"
-    if backend == "auto":
-        env = os.environ.get("REPRO_CORUN_BACKEND", "").strip()
-        if env:
-            if env not in CORUN_BACKENDS:
-                raise ValueError(
-                    "REPRO_CORUN_BACKEND=%r is not a known co-run backend"
-                    " (have: %s)" % (env, ", ".join(CORUN_BACKENDS)))
-            backend = env
     if backend == "auto":
         backend = "fused"
     if backend not in ("stepped", "fused"):

@@ -69,8 +69,8 @@ def _canonical_json(data):
 MODES = ("real", "perfect_l1", "perfect_l2")
 
 #: Replay-backend names a spec may carry.  ``"auto"`` defers the choice
-#: to the runner (``REPRO_BACKEND`` env var, else vectorized when numpy
-#: is available); the other two pin it.  The backend participates in
+#: to the runner (vectorized when numpy is available, else fused); the
+#: other two pin it.  The backend participates in
 #: :meth:`RunSpec.to_dict` and therefore in :meth:`RunSpec.digest`, so
 #: results produced by different pinned backends can never alias one
 #: another in the persistent cache.
@@ -79,10 +79,10 @@ BACKENDS = ("auto", "fused", "vectorized")
 #: Replay-backend names a *co-run* spec may carry.  The multi-core loop
 #: has its own backend pair — ``"stepped"`` is the per-event reference
 #: arbiter, ``"fused"`` the skip-ahead scheduler built on the compiled
-#: fast path — and ``"auto"`` defers to the runner (the
-#: ``REPRO_CORUN_BACKEND`` env var, else fused).  Like the single-core
-#: field, the choice rides in :meth:`CoRunSpec.to_dict` and therefore in
-#: the digest, so pinned backends never alias in the persistent cache.
+#: fast path — and ``"auto"`` defers to the runner (fused).  Like the
+#: single-core field, the choice rides in :meth:`CoRunSpec.to_dict` and
+#: therefore in the digest, so pinned backends never alias in the
+#: persistent cache.
 CORUN_BACKENDS = ("auto", "stepped", "fused")
 
 
@@ -384,6 +384,7 @@ def _validate_run_payload(data):
     except KeyError:
         raise ValueError("unknown workload %r" % (workload,))
     scheme = data["scheme"]
+    _require(isinstance(scheme, str), "'scheme' must be a string")
     _require(scheme in SCHEMES, "unknown scheme %r (have: %s)",
              scheme, ", ".join(sorted(SCHEMES)))
     mode = data.get("mode", "real")

@@ -5,10 +5,10 @@ by splitting it into *boring stretches* — references that provably hit
 the L1 plus ALU ``Ops`` batches — punctuated by *interesting events*: L1
 misses, software directives, prefetch-issue opportunities, metrics
 sampling boundaries, adaptive-epoch boundaries, and the reference limit.
-Interesting events run one at a time through a scalar body that
-replicates :meth:`repro.cpu.core.Core.execute_compiled` operation for
-operation.  Boring stretches are retired in bulk by two cooperating
-engines:
+Interesting events run one at a time through
+:meth:`repro.cpu.core.Core.run_span` with a ``-inf`` frontier — the same
+per-event body ``execute_compiled`` and the fused co-run scheduler use.
+Boring stretches are retired in bulk by two cooperating engines:
 
 * **The uniform-ring walker** (pure Python).  Real traces are
   barrier-dense: a loop-sized ``Ops`` batch (``count >= window``) lands
@@ -53,6 +53,8 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
+
+_NEG_INF = float("-inf")
 
 #: The numpy engine's fixed cost (a couple dozen array operations) only
 #: beats the walker on long barrier-free runs; shorter ones stay with
@@ -125,7 +127,7 @@ def execute_vectorized(core, trace, limit_refs=None):
     hints = trace.resolve_hints(core.hint_table)
     ref_names = trace.ref_names
     kinds = trace.kinds
-    f0, f1, f2 = trace.f0, trace.f1, trace.f2
+    f0, f1 = trace.f0, trace.f1
     n = len(kinds)
     W = core.window
     inv = core.inv_width
@@ -143,18 +145,17 @@ def execute_vectorized(core, trace, limit_refs=None):
     l1_set_mask = l1._set_mask
     l1_stats = l1.stats
     l1_shadow = l1._shadow
-    l1_latency = l1.latency
-    l1_lat_f = float(l1_latency)
+    l1_lat_f = float(l1.latency)
     block_mask = hierarchy._block_mask
     hstats = hierarchy.stats
-    metrics = hierarchy.metrics
-    series = metrics.series
+    series = hierarchy.metrics.series
     controller = hierarchy.controller
-    issue_prefetches = controller.issue_prefetches
     has_candidates = hierarchy._has_candidates
     miss_path = hierarchy.access_after_l1_miss
     adapt = getattr(hierarchy, "adapt", None)
     note_access = adapt.note_access if adapt is not None else None
+    ctx = core.bind_compiled(trace)
+    run_span = core.run_span
 
     counts_np = cols.counts
     ecum = cols.ecum
@@ -178,8 +179,6 @@ def execute_vectorized(core, trace, limit_refs=None):
     sstats = span_stats
     if sstats is not None:
         sstats["events_total"] = sstats.get("events_total", 0) + n
-
-    from repro.cpu.core import _directive_event
 
     i = 0
     stop = False
@@ -669,102 +668,22 @@ def execute_vectorized(core, trace, limit_refs=None):
                 break
 
             # ----------------------------------------------------------
-            # Scalar catch-up: one interesting event, replicating the
-            # fused loop's body operation for operation.
+            # Scalar catch-up: one interesting event through the shared
+            # per-event body (a -inf frontier runs exactly one event).
             # ----------------------------------------------------------
-            kind = kinds[i]
-            if kind <= K_STORE:
-                is_store = kind == K_STORE
-                e = ring[head]
-                now = clock if clock >= e else e
-                if is_store:
-                    hstats.stores += 1
-                else:
-                    hstats.loads += 1
-                if has_candidates is not None and has_candidates():
-                    issue_prefetches(now)
-                if now >= series._next:
-                    metrics.tick(now)
-                block = f1[i] & block_mask
-                line = l1_index.get(block)
-                if line is not None:
-                    l1_stats.demand_accesses += 1
-                    lines = l1_sets[(block >> l1_shift) & l1_set_mask]
-                    if lines[-1] is not line:
-                        lines.remove(line)
-                        lines.append(line)
-                    if not line.referenced:
-                        line.referenced = True
-                        l1_stats.useful_prefetches += 1
-                    if is_store:
-                        line.dirty = True
-                    l1_stats.demand_hits += 1
-                    ready = now + l1_latency
-                else:
-                    l1_stats.demand_accesses += 1
-                    l1_stats.demand_misses += 1
-                    if l1_shadow and \
-                            l1_shadow.pop(block, None) is not None:
-                        l1_stats.pollution_misses += 1
-                    ridx = f0[i]
-                    ready = miss_path(
-                        block, f1[i], now, is_store,
-                        ref_names[ridx], hints[ridx],
-                    )
-                latency = ready - now
-                before = clock
-                c = clock + inv
-                if e > c:
-                    c = e
-                clock = c
-                ring[head] = c + latency
-                head += 1
-                if head == W:
-                    head = 0
-                instructions += 1
-                s = clock - before - inv
-                if s > 0.0:
-                    load_stall += s
+            core._clock = clock
+            core._head = head
+            core.instructions = instructions
+            core.load_stall_cycles = load_stall
+            run_span(ctx, i, _NEG_INF)
+            clock = core._clock
+            head = core._head
+            instructions = core.instructions
+            load_stall = core.load_stall_cycles
+            if kinds[i] <= K_STORE:
                 refs += 1
-                if note_access is not None:
-                    note_access(clock)
                 if limit_refs is not None and refs >= limit_refs:
                     break
-            elif kind == K_OPS:
-                count = f0[i]
-                if count <= 32:
-                    for _ in range(count):
-                        e = ring[head]
-                        clock = clock + inv
-                        if e > clock:
-                            clock = e
-                        ring[head] = clock + 1.0
-                        head += 1
-                        if head == W:
-                            head = 0
-                    instructions += count
-                else:
-                    core._clock = clock
-                    core._head = head
-                    core.instructions = instructions
-                    core._issue_ops(count)
-                    clock = core._clock
-                    head = core._head
-                    instructions = core.instructions
-            else:
-                event = _directive_event(kind, f0[i], f1[i], f2[i])
-                e = ring[head]
-                c = clock + inv
-                if e > c:
-                    c = e
-                clock = c
-                completion = c + 1.0
-                ring[head] = completion
-                head += 1
-                if head == W:
-                    head = 0
-                instructions += 1
-                hierarchy.directive(event, completion)
             i += 1
     finally:
         core._clock = clock

@@ -12,7 +12,7 @@ into a side table.  The representation is:
   stream equal (field by field, in order) to the source stream, which the
   trace-store correctness tests assert for every workload;
 * **replayable without objects** — the simulator's fast path
-  (:meth:`repro.cpu.core.Core.execute_compiled`) iterates the columns
+  (:meth:`repro.cpu.core.Core.run_span`) iterates the columns
   directly, skipping per-event object construction and attribute loads.
 
 Column layout per event kind:

@@ -11,7 +11,10 @@ Three layers of guarantees, matching DESIGN.md's equivalence contract:
 * the optimized pipeline end to end (compiled trace + fused simulate
   loop + hierarchy fast paths) produces a ``RunResult.to_dict()``
   byte-identical to the ``reference=True`` slow path for every scheme in
-  the registry.
+  the registry;
+* ``Core.run_span``, the one per-event body every compiled replay goes
+  through, replays one event at a time exactly as one unbounded span
+  does, and stops at its frontier and reference limit where documented.
 """
 
 import json
@@ -21,14 +24,17 @@ from array import array
 import pytest
 
 from repro.compiler.driver import compile_hints
+from repro.cpu.core import Core
 from repro.mem.space import AddressSpace
 from repro.sim.config import MachineConfig
 from repro.sim.runner import SCHEMES, execute
+from repro.sim.simulator import Simulator
 from repro.sim.spec import RunSpec
 from repro.trace.compiled import (
     K_BOUND,
     K_INDIRECT,
     K_SETBASE,
+    K_STORE,
     CompiledTrace,
 )
 from repro.trace.events import MemRef
@@ -269,3 +275,86 @@ class TestAdaptiveFastSlowEquivalence:
         assert fast.adapt["epochs"] >= 8  # the loop genuinely ran
         assert json.dumps(fast.to_dict(), sort_keys=True) \
             == json.dumps(slow.to_dict(), sort_keys=True)
+
+
+def core_state(core):
+    """Everything run_span mutates on the core, for exact comparison."""
+    return (core._clock, core._head, core.instructions,
+            core.load_stall_cycles, list(core._ring))
+
+
+def fresh_core():
+    """A fresh prefetcher-less core and an unhinted mcf trace to replay."""
+    trace = build_interpreter("mcf", hinted=False).run_columns(LIMIT)
+    sim = Simulator(MachineConfig.scaled(), AddressSpace(), None)
+    return sim.core, trace
+
+
+class TestRunSpan:
+    """Core.run_span: span boundaries and one-event-at-a-time replay."""
+
+    CASES = {
+        "real": dict(workload="mcf", scheme="srp"),
+        "perfect_l1": dict(workload="swim", scheme="grp",
+                           mode="perfect_l1"),
+        "tlb": dict(workload="mcf", scheme="grp",
+                    config=MachineConfig.scaled(tlb_entries=8)),
+        "srp_adaptive": dict(
+            workload="vpr", scheme="srp-adaptive",
+            config=MachineConfig.scaled(adapt_epoch_accesses=128)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_single_event_spans_match_execute_compiled(self, case,
+                                                       monkeypatch):
+        spec = RunSpec.create(limit_refs=LIMIT, backend="fused",
+                              **self.CASES[case])
+        whole = execute(spec).to_dict()
+
+        def one_event_at_a_time(core, trace, limit_refs=None):
+            ctx = core.bind_compiled(trace)
+            pos = 0
+            while pos < len(trace.kinds):
+                pos = core.run_span(ctx, pos, float("-inf"))
+            return core.cycles
+
+        monkeypatch.setattr(Core, "execute_compiled", one_event_at_a_time)
+        stepped = execute(spec).to_dict()
+        assert json.dumps(stepped, sort_keys=True) \
+            == json.dumps(whole, sort_keys=True)
+
+    def test_frontier_stops_before_first_event_at_or_above_it(self):
+        core, trace = fresh_core()
+        ctx = core.bind_compiled(trace)
+        issue_times, states = [], []
+        pos = 0
+        while pos < len(trace.kinds):
+            issue_times.append(core.next_issue_at())
+            states.append(core_state(core))
+            pos = core.run_span(ctx, pos, float("-inf"))
+        states.append(core_state(core))
+        frontier = issue_times[len(issue_times) // 2]
+        expected = next(i for i in range(1, len(issue_times))
+                        if issue_times[i] >= frontier)
+        assert expected > 1  # the span covers several events
+
+        core, trace = fresh_core()
+        assert core.run_span(core.bind_compiled(trace), 0, frontier) \
+            == expected
+        assert core_state(core) == states[expected]
+
+    def test_limit_refs_stops_mid_span(self):
+        core, trace = fresh_core()
+        ctx = core.bind_compiled(trace)
+        limit = 25
+        pos = core.run_span(ctx, 0, limit_refs=limit)
+        assert pos < len(trace.kinds)
+        refs = [i for i in range(pos) if trace.kinds[i] <= K_STORE]
+        assert len(refs) == limit
+        assert refs[-1] == pos - 1  # stopped right after the last ref
+        # Resuming from the returned position finishes the trace exactly
+        # as one unbounded span does.
+        core.run_span(ctx, pos)
+        whole, trace = fresh_core()
+        whole.execute_compiled(trace)
+        assert core_state(core) == core_state(whole)

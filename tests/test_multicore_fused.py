@@ -2,11 +2,10 @@
 
 The fused skip-ahead scheduler must produce byte-identical
 ``CoRunResult.to_dict()`` output to the stepped reference loop for every
-spec both can run: all 15 pairs of the representative co-run mix under
-every scheme family, and the 18-core rush-hour mix.  Also covered: the
-fused backend's decline-and-fall-back contract for TLB configurations,
-``CoRunSpec.backend`` digest sensitivity and serialization, and the
-``REPRO_CORUN_BACKEND`` resolution rules.
+spec: all 15 pairs of the representative co-run mix under
+every scheme family, and the 18-core rush-hour mix, on plain and
+TLB-enabled configs.  Also covered: ``CoRunSpec.backend`` digest
+sensitivity and serialization, and the backend resolution rules.
 """
 
 import itertools
@@ -17,7 +16,7 @@ import pytest
 from repro.experiments.corun import CORUN_BENCHMARKS
 from repro.sim.config import MachineConfig
 from repro.sim.multicore import MultiCoreSimulator, execute_corun
-from repro.sim.multicore_fused import FusedMultiCoreSimulator, supports
+from repro.sim.multicore_fused import FusedMultiCoreSimulator
 from repro.sim.runner import resolve_corun_backend
 from repro.sim.spec import CORUN_BACKENDS, CoRunSpec
 
@@ -68,38 +67,48 @@ class TestDifferentialMatrix:
         assert outs["stepped"] == outs["fused"]
 
 
-class TestFusedDecline:
-    """TLB configs are out of the fused envelope: decline, fall back."""
+class TestFusedTLB:
+    """TLB configs replay through the fused loop's out-of-line access
+    path: byte-identical to stepped, with no fallback."""
 
-    def test_supports_rejects_tlb(self):
-        assert supports(MachineConfig.scaled())
-        assert not supports(MachineConfig.scaled(tlb_entries=32))
+    CONFIG = MachineConfig.scaled(tlb_entries=32)
 
-    def test_constructor_rejects_tlb(self):
-        spec = CoRunSpec.create(
-            ["mcf", "swim"], "srp", limit_refs=REFS,
-            config=MachineConfig.scaled(tlb_entries=32))
-        with pytest.raises(ValueError):
-            FusedMultiCoreSimulator(spec)
+    def test_mcf_swim_srp_byte_identical(self):
+        results = both_backends(["mcf", "swim"], "srp", config=self.CONFIG)
+        assert json.dumps(results["stepped"], sort_keys=True) \
+            == json.dumps(results["fused"], sort_keys=True)
 
-    def test_execute_corun_falls_back_to_stepped(self):
-        """A fused request on a TLB config degrades, never errors —
-        and the result equals an explicit stepped run."""
-        config = MachineConfig.scaled(tlb_entries=32)
-        results = both_backends(["mcf", "swim"], "srp", config=config)
-        assert results["stepped"] == results["fused"]
+    def test_rush_hour_byte_identical(self):
+        results = both_backends(RUSH_HOUR, "srp", refs=250,
+                                config=self.CONFIG)
+        assert json.dumps(results["stepped"], sort_keys=True) \
+            == json.dumps(results["fused"], sort_keys=True)
 
-    def test_fused_used_when_supported(self):
-        """On a plain config a fused request really builds the fused
-        simulator (guards against a silent always-fall-back bug)."""
-        spec = CoRunSpec.create(["mcf", "swim"], "none",
-                                limit_refs=REFS, backend="fused")
-        assert supports(spec.machine_config())
+    def test_execute_corun_builds_fused(self, monkeypatch):
+        """A fused request on a TLB config really runs the fused
+        scheduler (guards against a silent fallback)."""
+        ran = []
+        original = FusedMultiCoreSimulator.run
+
+        def spy(self):
+            ran.append(type(self))
+            return original(self)
+
+        monkeypatch.setattr(FusedMultiCoreSimulator, "run", spy)
+        spec = CoRunSpec.create(["mcf", "swim"], "srp", limit_refs=REFS,
+                                config=self.CONFIG, backend="fused")
+        execute_corun(spec, solo_baseline=False)
+        assert ran == [FusedMultiCoreSimulator]
+
+    def test_fused_cells_are_compiled(self):
+        spec = CoRunSpec.create(["mcf", "swim"], "none", limit_refs=REFS,
+                                config=self.CONFIG, backend="fused")
         sim = FusedMultiCoreSimulator(spec)
         assert sim.COMPILED_CELLS
         for cell in sim.cells:
             assert cell.trace is not None
             assert cell.events is None
+            assert cell.hierarchy.tlb is not None
 
     def test_stepped_cells_keep_event_streams(self):
         spec = CoRunSpec.create(["mcf", "swim"], "none",
@@ -146,25 +155,15 @@ class TestBackendField:
 
 
 class TestBackendResolution:
-    """resolve_corun_backend: pins, the env var, and the auto default."""
+    """resolve_corun_backend: pins and the auto default."""
 
-    def test_auto_defaults_to_fused(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORUN_BACKEND", raising=False)
+    def test_auto_defaults_to_fused(self):
         assert resolve_corun_backend("auto") == "fused"
         assert resolve_corun_backend(None) == "fused"
 
-    def test_env_var_steers_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORUN_BACKEND", "stepped")
-        assert resolve_corun_backend("auto") == "stepped"
-
-    def test_explicit_pin_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORUN_BACKEND", "stepped")
+    def test_explicit_pins_pass_through(self):
         assert resolve_corun_backend("fused") == "fused"
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORUN_BACKEND", "warp")
-        with pytest.raises(ValueError):
-            resolve_corun_backend("auto")
+        assert resolve_corun_backend("stepped") == "stepped"
 
     def test_unknown_pin_raises(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,8 @@ class TestRequestValidation:
     def test_bad_types_are_400(self, served):
         for field, value in (("limit_refs", -5), ("limit_refs", "x"),
                              ("scale", 0), ("seed", "abc"),
-                             ("backend", "warp"), ("mode", "dreamy")):
+                             ("backend", "warp"), ("mode", "dreamy"),
+                             ("scheme", ["none"])):
             with pytest.raises(ServeError) as err:
                 served.client.submit({"workload": "swim",
                                       "scheme": "none", field: value})
@@ -345,6 +346,13 @@ class TestSpecValidationUnit:
         spec = spec_from_dict(data, strict=True)
         assert spec.machine_config().l1_size == \
             MachineConfig.tiny().l1_size
+
+    def test_strict_rejects_non_string_corun_scheme(self):
+        with pytest.raises(ValueError, match="cell 1: 'scheme'"):
+            spec_from_dict({"corun": True, "cells": [
+                {"workload": "swim", "scheme": "none"},
+                {"workload": "mcf", "scheme": {"name": "srp"}},
+            ]}, strict=True)
 
     def test_strict_rejects_empty_corun_cells(self):
         with pytest.raises(ValueError, match="cells"):
