@@ -441,17 +441,16 @@ class Core:
         return pos
 
     def execute_vectorized(self, trace, limit_refs=None):
-        """Replay a compiled trace with the numpy batch backend.
+        """Replay a compiled trace with the vectorized (ring-walker) backend.
 
         Byte-identical in every statistic to :meth:`execute_compiled`
         (the differential suite enforces it); degrades to the fused loop
-        when numpy is unavailable, the trace has no column views, or the
-        configuration falls outside the batch math's exactness envelope
-        (see :func:`repro.sim.vectorized.supports`).
+        when the configuration falls outside the batch math's exactness
+        envelope (see :func:`repro.sim.vectorized.supports`).
         """
         from repro.sim import vectorized  # late: repro.sim imports us
 
-        if not vectorized.supports(self) or trace.columns() is None:
+        if not vectorized.supports(self):
             return self.execute_compiled(trace, limit_refs=limit_refs)
         return vectorized.execute_vectorized(self, trace,
                                              limit_refs=limit_refs)

@@ -142,20 +142,7 @@ class MemoryController:
             # The held head candidate cannot issue before the cached
             # bound (see __init__): the probe below would pop it, find
             # an earliest-issue time >= now, and push it straight back.
-            # Replicate the probe's one side effect -- the lazy MSHR
-            # reclaim at the candidate's earliest-issue time, which can
-            # run ahead of ``now`` and free entries a later demand miss
-            # would otherwise stall on.
-            mshrs = self.mshrs
-            if mshrs is not None:
-                earliest = self._held_queued_at
-                free = self.dram._channel_free[self._held_ch]
-                if free > earliest:
-                    earliest = free
-                if self.demand_busy_until > earliest:
-                    earliest = self.demand_busy_until
-                if earliest >= mshrs._min_ready:
-                    mshrs._reclaim(earliest)
+            self.gated_reclaim()
             return
         # Called before every demand access, but the queue is empty for
         # long stretches on most schemes: bail before any of the
@@ -322,6 +309,31 @@ class MemoryController:
         finally:
             self.prefetches_issued = n_issued
             self.prefetches_dropped_resident = n_dropped
+
+    def gated_reclaim(self):
+        """The blocked-issue gate's one side effect.
+
+        A probe skipped by the gate would still have run the lazy MSHR
+        reclaim at the held candidate's earliest-issue time, which can
+        run ahead of ``now`` and free entries a later demand miss would
+        otherwise stall on; this replays it from the remembered queue
+        time and channel.  The bound is built from monotone state that a
+        stretch of L1 hits never advances, so N gated calls during such
+        a stretch equal one: the first reclaim removes every entry
+        completed by the bound and the rest are no-ops.  The vectorized
+        backend relies on that to apply it once per batch.
+        """
+        mshrs = self.mshrs
+        if mshrs is None:
+            return
+        earliest = self._held_queued_at
+        free = self.dram._channel_free[self._held_ch]
+        if free > earliest:
+            earliest = free
+        if self.demand_busy_until > earliest:
+            earliest = self.demand_busy_until
+        if earliest >= mshrs._min_ready:
+            mshrs._reclaim(earliest)
 
     def drain(self, now):
         """Issue everything issuable by ``now`` (used at simulation end)."""

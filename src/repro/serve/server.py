@@ -316,10 +316,11 @@ class Server:
         tailer = JournalTailer(job.journal_path)
         tailer.poll()
         data["journal"] = tailer.progress()
-        if job.cells is not None:
-            for cell in data["cells"]:
-                cell["result"] = ("/results/%s" % cell["digest"]
-                                  if cell["status"] == "ok" else None)
+        # Test the snapshot, not the live job: a worker thread may set
+        # job.cells after to_dict() ran.
+        for cell in data.get("cells", ()):
+            cell["result"] = ("/results/%s" % cell["digest"]
+                              if cell["status"] == "ok" else None)
         return data
 
     async def _get_job(self, writer, job_id, query):

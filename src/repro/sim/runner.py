@@ -161,15 +161,14 @@ def resolve_backend(requested="auto"):
     """Resolve a spec's replay-backend request to ``fused``/``vectorized``.
 
     A pinned spec backend passes through.  ``"auto"`` (the default on
-    every spec) uses the vectorized backend whenever numpy is importable
-    — it is byte-identical to the fused loop in every statistic, so the
-    choice only affects speed.  Unknown names are errors rather than
-    silent fallbacks.
+    every spec) is the vectorized backend — byte-identical to the fused
+    loop in every statistic, so the choice only affects speed; it runs
+    the fused loop itself on configurations outside its exactness
+    envelope.  Unknown names are errors rather than silent fallbacks.
     """
     backend = requested or "auto"
     if backend == "auto":
-        from repro.sim import vectorized
-        backend = "vectorized" if vectorized.available() else "fused"
+        backend = "vectorized"
     if backend not in ("fused", "vectorized"):
         raise ValueError(
             "unknown replay backend %r (have: %s)"

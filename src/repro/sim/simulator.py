@@ -35,9 +35,9 @@ class Simulator:
         Issues the identical machine behavior :meth:`run` would over the
         trace's event stream.  ``backend`` picks the replay loop:
         ``"fused"`` is the scalar columnar loop, ``"vectorized"`` batches
-        boring stretches with numpy (and silently degrades to the fused
-        loop when numpy or the configuration doesn't support batching —
-        the two are byte-identical in every statistic).
+        boring stretches with the pure-Python ring walker (and silently
+        degrades to the fused loop when the configuration doesn't support
+        batching — the two are byte-identical in every statistic).
         """
         if backend == "vectorized":
             self.core.execute_vectorized(trace, limit_refs=limit_refs)

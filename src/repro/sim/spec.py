@@ -19,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.compiler.passes.spatial import POLICIES
 from repro.mem.dram import DRAMConfig
 from repro.sim.config import MachineConfig
 from repro.workloads.base import get_workload
@@ -69,8 +70,9 @@ def _canonical_json(data):
 MODES = ("real", "perfect_l1", "perfect_l2")
 
 #: Replay-backend names a spec may carry.  ``"auto"`` defers the choice
-#: to the runner (vectorized when numpy is available, else fused); the
-#: other two pin it.  The backend participates in
+#: to the runner (vectorized, which runs the fused loop itself on
+#: configurations outside its exactness envelope); the other two pin
+#: it.  The backend participates in
 #: :meth:`RunSpec.to_dict` and therefore in :meth:`RunSpec.digest`, so
 #: results produced by different pinned backends can never alias one
 #: another in the persistent cache.
@@ -390,8 +392,10 @@ def _validate_run_payload(data):
     mode = data.get("mode", "real")
     _require(mode in MODES, "unknown mode %r (have: %s)",
              mode, ", ".join(MODES))
-    _require(isinstance(data.get("policy", "default"), str),
-             "'policy' must be a string")
+    policy = data.get("policy", "default")
+    _require(isinstance(policy, str), "'policy' must be a string")
+    _require(policy in POLICIES, "unknown compiler policy %r (have: %s)",
+             policy, ", ".join(POLICIES))
     limit = data.get("limit_refs")
     _require(limit is None or (isinstance(limit, int)
                                and not isinstance(limit, bool)

@@ -8,26 +8,17 @@ sampling boundaries, adaptive-epoch boundaries, and the reference limit.
 Interesting events run one at a time through
 :meth:`repro.cpu.core.Core.run_span` with a ``-inf`` frontier — the same
 per-event body ``execute_compiled`` and the fused co-run scheduler use.
-Boring stretches are retired in bulk by two cooperating engines:
+Boring stretches are retired in bulk by the **uniform-ring walker**.
 
-* **The uniform-ring walker** (pure Python).  Real traces are
-  barrier-dense: a loop-sized ``Ops`` batch (``count >= window``) lands
-  every handful of events, and ``Core._issue_ops`` refills the whole
-  issue ring with a single value at each one.  The walker exploits that:
-  it tracks the ring as ``(fill value, writes since the last barrier)``
-  instead of a materialized list, which turns each barrier into an
-  O(written-entries) closed form (uniform entries can never beat the
-  clock once anything has issued after them) and each in-stretch
-  reference into a few float operations.  The ring list is materialized
-  only when the walker hands off to the scalar body.
-* **The numpy recurrence engine.**  A long barrier-free run (synthetic
-  or hit-streak-heavy traces) is batched columnar: the issue recurrence
-  ``c_t = max(c_{t-1} + inv, ring[head_t])`` factors into
-  ``numpy.maximum.accumulate`` in the shifted coordinate
-  ``D_t = c_t - (t+1)*inv``, and past ``window`` issues the ring can
-  never block (every in-stretch completion latency fits inside one
-  window rotation — enforced by :func:`supports`), so the clock tail is
-  a pure arithmetic progression.
+Real traces are barrier-dense: a loop-sized ``Ops`` batch
+(``count >= window``) lands every handful of events, and
+``Core._issue_ops`` refills the whole issue ring with a single value at
+each one.  The walker exploits that: it tracks the ring as ``(fill value,
+writes since the last barrier)`` instead of a materialized list, which
+turns each barrier into an O(written-entries) closed form (uniform
+entries all share one candidate, maximal at depth 0) and each
+in-stretch reference into a few float operations.  The ring list is
+materialized only when the walker hands off to the scalar body.
 
 Why the closed forms are exact
 ------------------------------
@@ -35,45 +26,21 @@ Under any supported configuration (power-of-two issue width, integer
 cache latencies) every timestamp the core manipulates is an exact
 multiple of ``1/issue_width`` far below the 2^52 mantissa limit, so each
 float add/subtract/max the scalar loop performs is exact — and exact
-operations can be reassociated freely, which is precisely what both
-engines do.  L1 hit effects (LRU promotion, dirty bits, counters) are
-committed through :mod:`repro.mem.probes` against the real cache
-structures, in program order.  The result is byte-identical
-``RunResult.to_dict()`` output against the reference path for every
-workload x scheme; the differential suite enforces it.
+operations can be reassociated freely, which is precisely what the
+walker does.  L1 hit effects (LRU promotion, dirty bits, counters) are
+committed inline against the real cache structures, in program order,
+and a blocked prefetch gate's one side effect is replayed through
+:meth:`repro.mem.controller.MemoryController.gated_reclaim`.  The result
+is byte-identical ``RunResult.to_dict()`` output against the reference
+path for every workload x scheme; the differential suite enforces it.
 
-The backend falls back to :meth:`Core.execute_compiled` whenever numpy is
-missing or the configuration is unsupported (see :func:`supports`).
+The backend falls back to :meth:`Core.execute_compiled` whenever the
+configuration is unsupported (see :func:`supports`).
 """
 
-from repro.mem.probes import commit_hit_batch, gated_reclaim
 from repro.trace.compiled import K_OPS, K_STORE
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 _NEG_INF = float("-inf")
-
-#: The numpy engine's fixed cost (a couple dozen array operations) only
-#: beats the walker on long barrier-free runs; shorter ones stay with
-#: the walker, whose cost is proportional to the work retired.
-_NUMPY_MIN_EVENTS = 192
-_NUMPY_MIN_REFS = 96
-#: Bounds one numpy batch (elementary issues -> work-array length).
-_MAX_SPAN_ELEM = 1 << 17
-
-#: Optional instrumentation: set to a dict and the backend accumulates
-#: batching counters into it (used by the bench tooling to report
-#: coverage): ``events_total``, ``walk_events``, ``walk_refs``,
-#: ``np_spans``, ``np_events``, ``np_refs``.
-span_stats = None
-
-
-def available():
-    """True when the numpy the backend needs is importable."""
-    return _np is not None
 
 
 def supports(core):
@@ -81,15 +48,13 @@ def supports(core):
 
     The batch math reassociates float operations, which is only exact
     when every timestamp is a dyadic rational: the issue width must be a
-    power of two and the L1 latency an integer.  The no-blocking tail
-    argument additionally needs every in-stretch completion latency
-    (``1.0`` for ALU ops, the L1 latency for hits) to fit inside one
-    window rotation.  Reference runs, TLB configs, trace-sink runs,
-    perfect-cache modes, and shared (multi-core) hierarchies take the
-    fused or reference loops instead.
+    power of two and the L1 latency an integer.  Every in-stretch
+    completion latency (``1.0`` for ALU ops, the L1 latency for hits)
+    must also fit inside one window rotation — the envelope the
+    differential suite covers.  Reference runs, TLB configs, trace-sink
+    runs, perfect-cache modes, and shared (multi-core) hierarchies take
+    the fused or reference loops instead.
     """
-    if _np is None:
-        return False
     hierarchy = core.hierarchy
     if hierarchy.reference or hierarchy.tlb is not None \
             or hierarchy.metrics.sink is not None:
@@ -121,9 +86,7 @@ def execute_vectorized(core, trace, limit_refs=None):
     limit_refs)``; returns the final cycle count.  The caller is
     responsible for checking :func:`supports` first.
     """
-    np = _np
     hierarchy = core.hierarchy
-    cols = trace.columns()
     hints = trace.resolve_hints(core.hint_table)
     ref_names = trace.ref_names
     kinds = trace.kinds
@@ -157,35 +120,11 @@ def execute_vectorized(core, trace, limit_refs=None):
     ctx = core.bind_compiled(trace)
     run_span = core.run_span
 
-    counts_np = cols.counts
-    ecum = cols.ecum
-    # Stretch-structure indices, consumed through monotone cursors.
-    hard = cols.hard_breaks(W).tolist()
-    hard.append(n)
-    hb = 0
-    bars = cols.barriers(W).tolist()
-    bars.append(n)
-    bb = 0
-    arange1 = np.arange(1, W + 1) * inv
-    # Reusable numpy work arrays (grown on demand, sliced per batch).
-    epos_buf = np.empty(1024, dtype=np.int64)
-    C_buf = np.empty(4096)
-    Cprev_buf = np.empty(4096)
-    Rarr_buf = np.empty(4096)
-    L_buf = np.empty(4096)
-    np_skip_until = 0
-    np_fail = 0
-
-    sstats = span_stats
-    if sstats is not None:
-        sstats["events_total"] = sstats.get("events_total", 0) + n
-
     i = 0
-    stop = False
     try:
         while i < n:
             # ----------------------------------------------------------
-            # Stretch conditions at event i (shared by both engines).
+            # Stretch conditions at event i.
             # The prefetch-gate regime is constant across a stretch —
             # only misses, directives, and epoch boundaries change it,
             # and all of those end the stretch:
@@ -218,186 +157,6 @@ def execute_vectorized(core, trace, limit_refs=None):
                     cap = limit_rem
             else:
                 cap = limit_rem
-
-            # ----------------------------------------------------------
-            # Numpy engine: long barrier-free runs.
-            # ----------------------------------------------------------
-            while hard[hb] < i:
-                hb += 1
-            while bars[bb] < i:
-                bb += 1
-            run_end = hard[hb] if hard[hb] < bars[bb] else bars[bb]
-            walk_end = n
-            if run_end - i >= _NUMPY_MIN_EVENTS and refs_ok and cap > 0 \
-                    and i < np_skip_until:
-                # The engine is viable here but backing off from a
-                # recent abandoned prescan; stop the walker at the
-                # backoff horizon so the engine gets another shot there
-                # instead of the walker swallowing the whole run.
-                walk_end = np_skip_until if np_skip_until < n else n
-            if run_end - i >= _NUMPY_MIN_EVENTS and refs_ok and cap > 0 \
-                    and i >= np_skip_until:
-                # Prescan: collect provable L1 hits, stopping at the
-                # first certain per-reference event.  The issue-time
-                # lower bound (the clock advances at least inv per
-                # instruction) pre-truncates at metrics/blocked-issue
-                # bounds so the engine never computes timing it would
-                # have to throw away.
-                k = i
-                acc = 0
-                items = []
-                roff = []
-                nref = 0
-                while k < run_end:
-                    kd = kinds[k]
-                    if kd <= K_STORE:
-                        if nref >= cap:
-                            break
-                        bound = clock + acc * inv
-                        if bound >= nxt or \
-                                (mode_b and bound > blocked_until):
-                            break
-                        b = f1[k] & block_mask
-                        line = l1_index.get(b)
-                        if line is None:
-                            break
-                        items.append((b, line, kd))
-                        roff.append(k - i)
-                        nref += 1
-                        acc += 1
-                        k += 1
-                        if nref >= limit_rem:
-                            break
-                    else:
-                        acc += f0[k]
-                        if acc > _MAX_SPAN_ELEM:
-                            break
-                        k += 1
-                span_events = k - i
-                consumed = 0
-                if nref >= _NUMPY_MIN_REFS or \
-                        span_events >= _NUMPY_MIN_EVENTS:
-                    # Elementary expansion of the run (no barriers, so
-                    # every event contributes its full count).
-                    counts_s = counts_np[i:k]
-                    if span_events >= len(epos_buf):
-                        epos_buf = np.empty(
-                            max(span_events + 1, 2 * len(epos_buf)),
-                            dtype=np.int64)
-                    epos = epos_buf[:span_events + 1]
-                    epos[0] = 0
-                    np.cumsum(counts_s, out=epos[1:])
-                    T = int(epos[span_events])
-                    if T > len(C_buf):
-                        size = max(T, 2 * len(C_buf))
-                        C_buf = np.empty(size)
-                        Cprev_buf = np.empty(size)
-                        Rarr_buf = np.empty(size)
-                        L_buf = np.empty(size)
-                    C = C_buf[:T]
-                    Cprev = Cprev_buf[:T]
-                    Rarr = Rarr_buf[:T]
-                    L = L_buf[:T]
-                    L.fill(1.0)
-                    rel = None
-                    if nref:
-                        rel = epos[np.array(roff, dtype=np.int64)]
-                        L[rel] = l1_lat_f
-                    ra = np.asarray(ring)
-                    if head:
-                        ringbuf0 = np.concatenate((ra[head:], ra[:head]))
-                    else:
-                        ringbuf0 = ra
-                    # Issue recurrence over the first window rotation:
-                    # c_t = max(c_{t-1} + inv, ring[head_t]) in the
-                    # shifted coordinate D_t = c_t - (t+1)*inv, where it
-                    # is a plain running maximum.
-                    h = T if T < W else W
-                    rb = ringbuf0[:h]
-                    Rarr[:h] = rb
-                    X = rb - arange1[:h]
-                    if X[0] < clock:
-                        X[0] = clock
-                    np.maximum.accumulate(X, out=X)
-                    seg = X + arange1[:h]
-                    C[:h] = seg
-                    Cprev[0] = clock
-                    if h > 1:
-                        Cprev[1:h] = seg[:h - 1]
-                    if T > W:
-                        # Beyond one rotation the ring cannot block (see
-                        # module docstring): the clock is an arithmetic
-                        # progression and the consumed ring values are
-                        # the run's own writes, lag W.
-                        base = C[W - 1]
-                        C[W:T] = base + np.arange(1, T - W + 1) * inv
-                        Cprev[W:T] = C[W - 1:T - 1]
-                        Rarr[W:T] = C[:T - W] + L[:T - W]
-                    # Exact truncation at the first ref the fused loop
-                    # would have done per-reference work for.
-                    if nref:
-                        nows = np.maximum(Cprev[rel], Rarr[rel])
-                        viol = nows >= nxt
-                        if mode_b:
-                            viol |= nows > blocked_until
-                        vidx = np.nonzero(viol)[0]
-                        cut = int(vidx[0]) if vidx.size else nref
-                    else:
-                        cut = 0
-                    cutev = roff[cut] if cut < nref else span_events
-                    if cutev:
-                        Tc = int(epos[cutev])
-                        if cut:
-                            relc = rel[:cut]
-                            st = C[relc] - Cprev[relc] - inv
-                            pos = float(st[st > 0.0].sum())
-                            if pos > 0.0:
-                                load_stall += pos
-                            commit_hit_batch(l1, hstats, items[:cut])
-                            if note_access is not None:
-                                adapt._accesses += cut
-                            if mode_b:
-                                gated_reclaim(controller)
-                            refs += cut
-                        instructions += int(ecum[i + cutev] - ecum[i])
-                        clock = float(C[Tc - 1])
-                        head_f = (head + Tc) % W
-                        if Tc >= W:
-                            ring_f = C[Tc - W:Tc] + L[Tc - W:Tc]
-                        else:
-                            ring_f = np.concatenate(
-                                (ringbuf0[Tc:], C[:Tc] + L[:Tc]))
-                        # ring[p] consumes ring_f[(p - head_f) % W].
-                        split = W - head_f
-                        ring[head_f:] = ring_f[:split].tolist()
-                        ring[:head_f] = ring_f[split:].tolist()
-                        head = head_f
-                        if limit_refs is not None and refs >= limit_refs:
-                            stop = True
-                        consumed = cutev
-                        if sstats is not None:
-                            sstats["np_spans"] = \
-                                sstats.get("np_spans", 0) + 1
-                            sstats["np_events"] = \
-                                sstats.get("np_events", 0) + cutev
-                            sstats["np_refs"] = \
-                                sstats.get("np_refs", 0) + cut
-                if consumed:
-                    np_fail = 0
-                    i += consumed
-                    if stop:
-                        break
-                    continue
-                # Nothing committed: no attempt before the prescan's
-                # stop point can do better (a suffix of this one), so
-                # don't re-enter the engine until past it — and on a
-                # trace whose hit runs keep falling short (prescans
-                # ending at misses every few dozen events), back off
-                # exponentially so abandoned prescans can't double the
-                # per-event cost.
-                np_fail += 1
-                np_skip_until = k + 1 + (64 << np_fail if np_fail < 10
-                                         else 65536)
 
             # ----------------------------------------------------------
             # Uniform-ring walker: retire boring stretches with the ring
@@ -450,7 +209,7 @@ def execute_vectorized(core, trace, limit_refs=None):
                 loads_n = 0
                 stores_n = 0
                 limit_hit = False
-            while walkable and j < walk_end:
+            while walkable and j < n:
                 kd = kinds[j]
                 if kd <= K_STORE:
                     if not refs_ok or wref_n >= cap:
@@ -625,7 +384,7 @@ def execute_vectorized(core, trace, limit_refs=None):
                     if note_access is not None:
                         adapt._accesses += wref_n
                     if mode_b:
-                        gated_reclaim(controller)
+                        controller.gated_reclaim()
                     refs += wref_n
                 instructions += instr_acc
                 clock = clock_s
@@ -657,11 +416,6 @@ def execute_vectorized(core, trace, limit_refs=None):
                         ring[head:] = wr[s0:q - head]
                         ring[:head] = wr[q - head:q]
                 i = j
-                if sstats is not None:
-                    sstats["walk_events"] = \
-                        sstats.get("walk_events", 0) + consumed
-                    sstats["walk_refs"] = \
-                        sstats.get("walk_refs", 0) + wref_n
                 if limit_hit:
                     break
             if j >= n:

@@ -11,9 +11,11 @@ into a side table.  The representation is:
 * **loss-free** — :meth:`CompiledTrace.events` reconstructs an event
   stream equal (field by field, in order) to the source stream, which the
   trace-store correctness tests assert for every workload;
-* **replayable without objects** — the simulator's fast path
-  (:meth:`repro.cpu.core.Core.run_span`) iterates the columns
-  directly, skipping per-event object construction and attribute loads.
+* **replayable without objects** — the simulator's fast paths
+  (:meth:`repro.cpu.core.Core.run_span` and the vectorized backend's
+  ring walker, :mod:`repro.sim.vectorized`) iterate the plain ``array``
+  columns directly, skipping per-event object construction and
+  attribute loads.
 
 Column layout per event kind:
 
@@ -38,11 +40,6 @@ followed by the column bytes in an explicit little-endian fixed-width
 encoding (1-byte kinds, 8-byte fields), so files written on one machine
 load on any other — a big-endian host byteswaps on save and on load.
 :mod:`repro.trace.store` keys such files by trace content identity.
-
-:meth:`columns` exposes the same four columns as cached numpy views (plus
-derived index arrays) for the vectorized replay backend
-(:mod:`repro.sim.vectorized`); it returns None when numpy is unavailable,
-and nothing else in the trace layer depends on numpy.
 """
 
 import json
@@ -114,8 +111,7 @@ def _read_column(fh, typecode, count, width, swap):
 class CompiledTrace:
     """One trace, lowered to parallel columns.  Immutable once built."""
 
-    __slots__ = ("kinds", "f0", "f1", "f2", "ref_names", "ref_count",
-                 "_cols")
+    __slots__ = ("kinds", "f0", "f1", "f2", "ref_names", "ref_count")
 
     def __init__(self, kinds, f0, f1, f2, ref_names, ref_count):
         self.kinds = kinds
@@ -125,8 +121,6 @@ class CompiledTrace:
         self.ref_names = ref_names
         #: Number of memory-reference events (loads + stores).
         self.ref_count = ref_count
-        #: Lazily-built :class:`TraceColumns` (numpy views), or None.
-        self._cols = None
 
     def __len__(self):
         return len(self.kinds)
@@ -212,22 +206,6 @@ class CompiledTrace:
             return [None] * len(self.ref_names)
         return [hint_table.get(name) for name in self.ref_names]
 
-    def columns(self):
-        """Cached :class:`TraceColumns` numpy views, or None without numpy.
-
-        The views are read-only aliases of the trace's own storage —
-        building them copies nothing — plus the event-index arrays the
-        vectorized backend's stretch segmentation needs.  Config-dependent
-        data (block masks, window-sized batch splits) stays out of the
-        cache; see :meth:`TraceColumns.hard_breaks`.
-        """
-        cols = self._cols
-        if cols is None:
-            if _np is None:
-                return None
-            cols = self._cols = TraceColumns(self)
-        return cols
-
     # ------------------------------------------------------------------
     # Disk form
     # ------------------------------------------------------------------
@@ -291,71 +269,3 @@ class CompiledTrace:
         return cls(kinds, columns[0], columns[1], columns[2],
                    header["ref_names"], header["refs"])
 
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-
-class TraceColumns:
-    """Numpy views + index arrays over one :class:`CompiledTrace`.
-
-    Everything here is config-independent (no block masks, no machine
-    geometry), so one instance is shared by every run replaying the trace.
-    The views alias the trace's ``array`` storage and are read-only.
-    """
-
-    __slots__ = ("kinds", "f0", "f1", "f2", "is_ref", "ref_pos", "dir_pos",
-                 "counts", "ecum", "_breaks", "_bars")
-
-    def __init__(self, trace):
-        self.kinds = _np.frombuffer(trace.kinds, dtype=_np.int8)
-        self.f0 = _np.frombuffer(trace.f0, dtype=_np.int64)
-        self.f1 = _np.frombuffer(trace.f1, dtype=_np.int64)
-        self.f2 = _np.frombuffer(trace.f2, dtype=_np.int64)
-        #: Per-event masks/indices for stretch segmentation.
-        self.is_ref = self.kinds <= K_STORE
-        self.ref_pos = _np.nonzero(self.is_ref)[0]
-        self.dir_pos = _np.nonzero(self.kinds >= K_BOUND)[0]
-        #: Elementary instruction issues per event (Ops expand to their
-        #: count; refs and directives issue one instruction each).
-        self.counts = _np.where(self.kinds == K_OPS, self.f0, 1)
-        #: Prefix sum of ``counts`` with a leading 0: the elementary-issue
-        #: offset of event ``i`` is ``ecum[i]``.
-        self.ecum = _np.concatenate(
-            (_np.zeros(1, dtype=_np.int64), _np.cumsum(self.counts)))
-        self._breaks = {}
-        self._bars = {}
-
-    def hard_breaks(self, window):
-        """Sorted event positions a batched stretch can never cross.
-
-        Directives (they message the prefetch engine) and Ops batches in
-        the awkward ``32 < count < window`` band (they refill only part of
-        the issue ring, so the ring state after them is not a closed
-        form).  Cached per window size.
-        """
-        breaks = self._breaks.get(window)
-        if breaks is None:
-            partial = (self.kinds == K_OPS) & (self.f0 > 32) \
-                & (self.f0 < window)
-            breaks = _np.union1d(self.dir_pos, _np.nonzero(partial)[0])
-            self._breaks[window] = breaks
-        return breaks
-
-    def barriers(self, window):
-        """Sorted positions of full-ring-reset Ops batches.
-
-        An Ops batch of at least ``window`` instructions refills the whole
-        issue ring with one value (see ``Core._issue_ops``), so the ring
-        state after it is a closed form a batched stretch can carry
-        through.  Cached per window size.
-        """
-        bars = self._bars.get(window)
-        if bars is None:
-            mask = (self.kinds == K_OPS) & (self.f0 >= window) \
-                & (self.f0 > 32)
-            bars = _np.nonzero(mask)[0]
-            self._bars[window] = bars
-        return bars

@@ -39,16 +39,12 @@ from repro.mem.space import AddressSpace
 from repro.prefetch.chase import ChasePrefetcher
 from repro.prefetch.gaze import GazePrefetcher
 from repro.prefetch.pending import PendingQueue
-from repro.sim import vectorized
 from repro.sim.cache import ResultCache, version_salt
 from repro.sim.config import MachineConfig
 from repro.sim.multicore import execute_corun
 from repro.sim.runner import SCHEMES, run_workload
 from repro.sim.spec import CoRunSpec, RunSpec
 from repro.workloads import workload_names
-
-needs_numpy = pytest.mark.skipif(not vectorized.available(),
-                                 reason="numpy unavailable")
 
 LIMIT = 1200
 NEW_SCHEMES = ("gaze", "chase", "gaze-adaptive", "chase-adaptive")
@@ -340,7 +336,6 @@ class TestChaseWorkloads:
 # Differential byte-identity matrix
 # ----------------------------------------------------------------------
 
-@needs_numpy
 class TestDifferentialMatrix:
     """Fused vs vectorized across all 18 workloads, both new engines."""
 

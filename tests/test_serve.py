@@ -198,7 +198,7 @@ class TestRequestValidation:
         for field, value in (("limit_refs", -5), ("limit_refs", "x"),
                              ("scale", 0), ("seed", "abc"),
                              ("backend", "warp"), ("mode", "dreamy"),
-                             ("scheme", ["none"])):
+                             ("policy", "bogus"), ("scheme", ["none"])):
             with pytest.raises(ServeError) as err:
                 served.client.submit({"workload": "swim",
                                       "scheme": "none", field: value})
@@ -260,6 +260,26 @@ class TestProgressStreaming:
         journal = job["journal"]
         assert journal["done"] + journal["failed"] == journal["total"]
         assert journal["total"] == 1
+
+    def test_snapshot_of_job_finishing_mid_read(self, served, tmp_path,
+                                                monkeypatch):
+        # A worker thread can fill job.cells after the snapshot's
+        # to_dict() ran; the snapshot must stay the earlier view.
+        from repro.serve.jobs import Job
+        from repro.sim.supervisor import JournalTailer
+
+        job = Job("j-race", [tiny_spec()], ["d0"], str(tmp_path / "j.ckpt"))
+        poll = JournalTailer.poll
+
+        def poll_while_job_finishes(tailer):
+            job.cells = [{"digest": "d0", "label": "swim/grp",
+                          "status": "ok"}]
+            return poll(tailer)
+
+        monkeypatch.setattr(JournalTailer, "poll", poll_while_job_finishes)
+        snapshot = served.server._job_snapshot(job)
+        assert "cells" not in snapshot
+        assert snapshot["journal"]["total"] == 0
 
 
 class TestGracefulDegradation:

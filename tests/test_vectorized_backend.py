@@ -3,18 +3,16 @@
 Four layers of guarantees for ``repro.sim.vectorized``:
 
 * **dispatch** — ``resolve_backend`` honours the spec's pin, else
-  auto-detects, and rejects unknown names;
+  picks the vectorized backend, and rejects unknown names;
 * **equivalence** — the vectorized backend's ``RunResult.to_dict()`` is
   byte-identical to the fused loop's for every workload across the
   scheme families it batches differently (no prefetcher, hardware-only
   SRP, hint-guided GRP, and the adaptive gate machinery), plus seeded
-  synthetic traces engineered to drive the numpy recurrence engine
-  (long barrier-free stretches) that the real workloads' barrier
-  density rarely exposes;
-* **fallback** — with numpy unavailable the backend reports itself
-  unavailable, auto-dispatch picks the fused loop, and even an
-  explicitly pinned ``backend="vectorized"`` degrades gracefully to
-  fused with identical results;
+  synthetic traces that drive the ring walker over long barrier-free
+  stretches the real workloads' barrier density rarely exposes;
+* **fallback** — on configurations :func:`~repro.sim.vectorized.supports`
+  rejects (a TLB, a perfect-cache mode) a pinned ``backend="vectorized"``
+  runs the fused loop itself, with identical results;
 * **caching** — pinned backends are part of the RunSpec digest (results
   from different backends can never alias in the persistent cache) and
   the 1.6.0 version-salt bump invalidated every pre-backend entry
@@ -27,7 +25,6 @@ import json
 import pytest
 
 from repro.mem.space import AddressSpace
-from repro.sim import vectorized
 from repro.sim.cache import version_salt
 from repro.sim.config import MachineConfig
 from repro.sim.runner import resolve_backend, run_workload
@@ -37,20 +34,33 @@ from repro.trace.compiled import CompiledTrace
 from repro.trace.events import MemRef, Ops
 from repro.workloads import workload_names
 
-needs_numpy = pytest.mark.skipif(not vectorized.available(),
-                                 reason="numpy unavailable")
-
 LIMIT = 1200
 
-#: One scheme per batching regime: no prefetcher (pure walker + numpy
-#: engine), hardware-only SRP (mode-B gated stretches), hint-guided GRP
+#: One scheme per batching regime: no prefetcher (pure walker),
+#: hardware-only SRP (mode-B gated stretches), hint-guided GRP
 #: (directive events break walks), and the adaptive throttle (epoch
 #: ticks interleave with the gate machinery).
 SCHEMES_UNDER_TEST = ("none", "srp", "grp", "srp-adaptive")
 
+#: Configurations ``vectorized.supports`` rejects: a pinned vectorized
+#: spec runs the fused loop there.
+UNSUPPORTED = {
+    "tlb": dict(config=MachineConfig.scaled(tlb_entries=8)),
+    "perfect_l1": dict(mode="perfect_l1"),
+}
 
-def result_json(workload, scheme, backend, limit=LIMIT):
-    stats = run_workload(workload, scheme, limit_refs=limit, backend=backend)
+MATRIX = [
+    pytest.param(workload, scheme, {}, id="%s-%s" % (workload, scheme))
+    for workload in workload_names() for scheme in SCHEMES_UNDER_TEST
+] + [
+    pytest.param("mcf", "srp", overrides, id="mcf-srp-" + name)
+    for name, overrides in sorted(UNSUPPORTED.items())
+]
+
+
+def result_json(workload, scheme, backend, limit=LIMIT, **overrides):
+    stats = run_workload(workload, scheme, limit_refs=limit, backend=backend,
+                         **overrides)
     return json.dumps(stats.to_dict(), sort_keys=True)
 
 
@@ -58,7 +68,6 @@ class TestDispatch:
     def test_explicit_names_pass_through(self):
         assert resolve_backend("fused") == "fused"
 
-    @needs_numpy
     def test_auto_prefers_vectorized_when_available(self):
         assert resolve_backend("auto") == "vectorized"
 
@@ -84,15 +93,14 @@ class TestDispatch:
             sim.run_compiled(trace, backend="turbo")
 
 
-@needs_numpy
 class TestDifferentialMatrix:
-    """Byte-identical vectorized-vs-fused across the full workload set."""
+    """Byte-identical vectorized-vs-fused across the full workload set,
+    plus the unsupported configurations the backend hands to fused."""
 
-    @pytest.mark.parametrize("scheme", SCHEMES_UNDER_TEST)
-    @pytest.mark.parametrize("workload", workload_names())
-    def test_byte_identical(self, workload, scheme):
-        assert result_json(workload, scheme, "vectorized") \
-            == result_json(workload, scheme, "fused")
+    @pytest.mark.parametrize("workload,scheme,overrides", MATRIX)
+    def test_byte_identical(self, workload, scheme, overrides):
+        assert result_json(workload, scheme, "vectorized", **overrides) \
+            == result_json(workload, scheme, "fused", **overrides)
 
 
 def synthetic_trace(seed, nrefs=4000, blocks=64, ops_every=3, ops_count=2,
@@ -101,9 +109,11 @@ def synthetic_trace(seed, nrefs=4000, blocks=64, ops_every=3, ops_count=2,
 
     After warming ``blocks`` lines the reference stream hits the same
     working set with a pseudo-random pattern, interleaving small ALU
-    bursts — exactly the regime the numpy recurrence engine batches.
-    ``barrier_every`` (refs) splices in window-sized Ops barriers to
-    force walker/engine regime changes at seeded positions.
+    bursts, so the ring walker must carry the materialized pre-walk ring
+    and its own writes across long runs of issues with no barrier to
+    reset them.  ``barrier_every`` (refs) splices in window-sized Ops
+    barriers to force the walker's uniform-fill closed form at seeded
+    positions.
     """
     import random
     rng = random.Random(seed)
@@ -121,17 +131,12 @@ def synthetic_trace(seed, nrefs=4000, blocks=64, ops_every=3, ops_count=2,
     return CompiledTrace.from_events(events)
 
 
-def run_synthetic(trace, backend, span_stats=None):
+def run_synthetic(trace, backend):
     sim = Simulator(MachineConfig.scaled(), AddressSpace(), None)
-    vectorized.span_stats = span_stats
-    try:
-        result = sim.run_compiled(trace, backend=backend)
-    finally:
-        vectorized.span_stats = None
+    result = sim.run_compiled(trace, backend=backend)
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-@needs_numpy
 class TestSyntheticFuzz:
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_streams_byte_identical(self, seed):
@@ -144,45 +149,6 @@ class TestSyntheticFuzz:
         trace = synthetic_trace(seed, nrefs=2500, barrier_every=97 + seed)
         assert run_synthetic(trace, "vectorized") \
             == run_synthetic(trace, "fused")
-
-    def test_numpy_engine_actually_engages(self):
-        """The fuzz regime must exercise the recurrence engine, not just
-        the scalar walker — otherwise the batch math is untested."""
-        stats = {}
-        run_synthetic(synthetic_trace(0, nrefs=20000), "vectorized",
-                      span_stats=stats)
-        assert stats["np_spans"] > 0
-        assert stats["np_refs"] > 0
-        assert stats["np_events"] + stats["walk_events"] \
-            <= stats["events_total"]
-
-
-class TestNoNumpyFallback:
-    def fused_only(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_np", None)
-
-    def test_unavailable_without_numpy(self, monkeypatch):
-        self.fused_only(monkeypatch)
-        assert not vectorized.available()
-
-    def test_auto_resolves_to_fused(self, monkeypatch):
-        self.fused_only(monkeypatch)
-        assert resolve_backend("auto") == "fused"
-
-    def test_pinned_vectorized_degrades_to_fused(self, monkeypatch):
-        """An explicit vectorized pin on a numpy-less host still runs —
-        the core falls back to the fused loop with identical results."""
-        baseline = result_json("mcf", "srp", "fused", limit=400)
-        self.fused_only(monkeypatch)
-        assert result_json("mcf", "srp", "vectorized", limit=400) == baseline
-
-    def test_supports_false_without_numpy(self, monkeypatch):
-        self.fused_only(monkeypatch)
-
-        class Core:
-            pass
-
-        assert not vectorized.supports(Core())
 
 
 class TestDigestSensitivity:

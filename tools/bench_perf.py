@@ -1,11 +1,11 @@
 """Performance benchmark harness: sim-phase refs/sec per scheme and backend.
 
-Measures the replay backends (the fused loop and, when numpy is
-available, the vectorized batch-replay backend) against the
-``reference=True`` slow path on a small scheme x workload matrix, plus
-the multi-core co-run backends (fused skip-ahead vs the stepped
-reference loop) on a 2-core pair and the 18-core rush-hour mix, and
-records the results in ``BENCH_perf.json`` at the repository root.
+Measures the replay backends (the fused loop and the vectorized
+batch-replay backend) against the ``reference=True`` slow path on a
+small scheme x workload matrix, plus the multi-core co-run backends
+(fused skip-ahead vs the stepped reference loop) on a 2-core pair and
+the 18-core rush-hour mix, and records the results in
+``BENCH_perf.json`` at the repository root.
 
 Schema version 2 times the **simulation phase only**: the workload
 build, hint compilation, and trace generation happen once per case
@@ -30,9 +30,8 @@ Modes::
     PYTHONPATH=src python tools/bench_perf.py --check    # schema validation only, no measurement
 
 ``--smoke`` and ``--check`` never write the file; both exit nonzero on a
-schema violation, ``--smoke`` also on a gate failure.  Smoke measures
-every backend the host supports (the no-numpy CI job simply has no
-vectorized rows to gate).
+schema violation, ``--smoke`` also on a gate failure.  Every mode
+measures both replay backends.
 
 The full mode additionally re-measures the end-to-end table1 sweep
 (``python -m repro.experiments table1 --refs 3000 --no-cache --jobs 1``)
@@ -55,7 +54,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 os.environ.setdefault("REPRO_TRACE_CACHE", "off")
 
 from repro.compiler.driver import compile_hints  # noqa: E402
-from repro.sim import runner, vectorized  # noqa: E402
+from repro.sim import runner  # noqa: E402
 from repro.sim.config import MachineConfig  # noqa: E402
 from repro.sim.simulator import Simulator  # noqa: E402
 from repro.trace.interp import Interpreter  # noqa: E402
@@ -115,14 +114,6 @@ TABLE1_CMD = [
     "-m", "repro.experiments", "table1",
     "--refs", "3000", "--no-cache", "--jobs", "1",
 ]
-
-
-def host_backends():
-    """Replay backends measurable on this host, fused first."""
-    backends = ["fused"]
-    if vectorized.available():
-        backends.append("vectorized")
-    return backends
 
 
 def _cold():
@@ -204,12 +195,16 @@ def _time_reference(prep, refs, repeats):
     return best
 
 
-def measure_case(workload, scheme, refs, repeats, backends):
+#: Replay backends every case row is measured on, fused first.
+BACKENDS = ("fused", "vectorized")
+
+
+def measure_case(workload, scheme, refs, repeats):
     """One case row per backend, sharing one build and one reference run."""
     prep = _prepare(workload, scheme, refs)
     slow = _time_reference(prep, refs, repeats)
     cases = []
-    for backend in backends:
+    for backend in BACKENDS:
         fast = _time_backend(prep, backend, repeats)
         rate = refs / fast
         cases.append({
@@ -332,7 +327,7 @@ def validate(doc):
             if backend is not None and backend not in corun_backends:
                 errors.append("%s.backend unknown for co-run: %r"
                               % (where, backend))
-        elif backend is not None and backend not in ("fused", "vectorized"):
+        elif backend is not None and backend not in BACKENDS:
             errors.append("%s.backend unknown: %r" % (where, backend))
         for side in ("sim", "reference"):
             timing = case.get(side)
@@ -439,21 +434,12 @@ def main(argv=None):
         if args.check:
             return 0
 
-    backends = host_backends()
-    if "vectorized" not in backends:
-        if args.smoke:
-            print("note: numpy unavailable — gating fused rows only")
-        else:
-            print("error: the full matrix records both backends; "
-                  "numpy is required")
-            return 1
-
     matrix = SMOKE_MATRIX if args.smoke else FULL_MATRIX
     refs = min(args.refs, 1500) if args.smoke else args.refs
     repeats = 2 if args.smoke else args.repeats
     cases = []
     for workload, scheme in matrix:
-        for case in measure_case(workload, scheme, refs, repeats, backends):
+        for case in measure_case(workload, scheme, refs, repeats):
             print("%-6s %-13s %-10s sim %8.0f refs/s   reference %7.0f"
                   " refs/s   speedup %.2fx"
                   % (workload, scheme, case["backend"],
