@@ -393,6 +393,9 @@ class Program:
         self.body = body if isinstance(body, Block) else Block(body)
         self.bindings = dict(bindings or {})
         self._finalized = False
+        #: Compiled trace functions by source key; filled and read by
+        #: :func:`repro.trace.codegen.trace_program`.
+        self.trace_functions = {}
 
     # ------------------------------------------------------------------
     def finalize(self):

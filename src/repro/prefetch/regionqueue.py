@@ -264,10 +264,12 @@ class RegionQueue:
         while entries:
             pos = 0 if lifo else len(entries) - 1
             entry = entries[pos]
-            # _select_block, inlined (the hottest call of the issue loop):
-            # scan the set bits from the entry's index, wrapping, prefer
-            # the first candidate whose DRAM row is open, fall back to the
-            # first candidate in scan order.
+            # Pick (and clear) the entry's next candidate bit: scan the
+            # set bits from the entry's index, wrapping, prefer the first
+            # candidate whose DRAM row is open, and fall back to the first
+            # candidate in scan order.  The bitvector is rotated so the
+            # wrapped order starts at bit 0, and only the set bits are
+            # walked (isolate lowest, clear, repeat).
             bitvec = entry.bitvec
             if bitvec == 0:
                 entries.pop(pos)
@@ -314,43 +316,6 @@ class RegionQueue:
                 block, entry.queued_at, depth=entry.depth, meta=entry
             )
         return None
-
-    def _select_block(self, entry, dram):
-        """Pick (and clear) the next candidate bit of ``entry``.
-
-        Scans from the entry's index, wrapping, and prefers the first
-        candidate whose DRAM row is already open; falls back to the first
-        candidate in scan order.  Returns None when no bits remain.
-
-        The scan rotates the bitvector so the wrapped order starts at bit
-        0, then walks only the *set* bits (isolate lowest, clear, repeat)
-        — same visit order as a position-by-position loop, without
-        touching the empty positions.
-        """
-        bitvec = entry.bitvec
-        if bitvec == 0:
-            return None
-        nblocks = entry.nblocks
-        index = entry.index
-        base = entry.base
-        bsize = self.block_size
-        rot = ((bitvec >> index) | (bitvec << (nblocks - index))) \
-            & ((1 << nblocks) - 1)
-        first_index = None
-        while rot:
-            i = index + (rot & -rot).bit_length() - 1
-            if i >= nblocks:
-                i -= nblocks
-            if first_index is None:
-                first_index = i
-            if dram is not None and dram.row_is_open(base + i * bsize):
-                entry.bitvec = bitvec & ~(1 << i)
-                entry.index = (i + 1) % nblocks
-                return base + i * bsize
-            rot &= rot - 1
-        entry.bitvec = bitvec & ~(1 << first_index)
-        entry.index = (first_index + 1) % nblocks
-        return base + first_index * bsize
 
     def push_back(self, request):
         """Hold an unissuable candidate; it is returned by the next pop."""

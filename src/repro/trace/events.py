@@ -22,6 +22,10 @@ simulator replays them against the CPU model and memory hierarchy.
 """
 
 
+LOOP_OVERHEAD_OPS = 2
+"""Branch + induction update charged per loop iteration."""
+
+
 class MemRef:
     """One dynamic memory reference."""
 

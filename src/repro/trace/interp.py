@@ -13,16 +13,20 @@ Pointer-based structures are traversed through the address space's word
 content store, so the addresses the trace visits are exactly the pointer
 values the prefetch engines see when they scan fetched lines.
 
-Execution is *flattened*: statement handlers are plain methods that append
-events directly into one buffer, with a single drain at the top level,
-instead of a chain of per-statement generators (``yield from`` delegation
-costs a generator frame per statement per iteration and dominated trace
-generation time).  :meth:`Interpreter.run` keeps the original generator
-API as a thin wrapper over :meth:`Interpreter.run_events`.
+Two engines execute the same semantics.  :meth:`Interpreter.run` and
+:meth:`Interpreter.run_events` walk the node tree: statement handlers are
+plain methods that append event objects into one buffer.  The walker is
+the oracle: ``reference=True`` runs and the stepped co-run replay its
+events.  :meth:`Interpreter.run_columns`, the fast path every other run
+takes, executes the program compiled to one Python function
+(:mod:`repro.trace.codegen`) and must equal
+``CompiledTrace.from_events(run_events(limit))`` byte for byte.
+
+An interpreter runs once: its seeded RNG and pointer state are consumed
+by the run, so a second run raises ``RuntimeError``.
 """
 
 import random
-from array import array
 
 from repro.compiler.ir import (
     Affine,
@@ -43,25 +47,15 @@ from repro.compiler.ir import (
     WhileLoop,
 )
 from repro.compiler.symbols import Sym
-from repro.trace.compiled import (
-    CompiledTrace,
-    K_BOUND,
-    K_INDIRECT,
-    K_LOAD,
-    K_OPS,
-    K_SETBASE,
-    K_STORE,
-)
+from repro.trace.codegen import trace_program
 from repro.trace.events import (
+    LOOP_OVERHEAD_OPS,
     IndirectPrefetch,
     LoopBound,
     MemRef,
     Ops,
     SetIndirectBase,
 )
-
-LOOP_OVERHEAD_OPS = 2
-"""Branch + induction update charged per loop iteration."""
 
 
 class TraceLimit(Exception):
@@ -87,16 +81,7 @@ class Interpreter:
         self._events = []
         self._refs_emitted = 0
         self._limit = None
-        #: When True the emit layer lowers events straight into the
-        #: columnar buffers below (see :meth:`run_columns`) instead of
-        #: building event objects.
-        self._columnar = False
-        self._kinds = None
-        self._f0 = None
-        self._f1 = None
-        self._f2 = None
-        self._ref_names = None
-        self._intern = None
+        self._ran = False
         self._indirect_last_block = {}
         self._dims_cache = {}
 
@@ -129,67 +114,21 @@ class Interpreter:
 
     def _flush_ops(self):
         if self._pending_ops:
-            if self._columnar:
-                self._kinds.append(K_OPS)
-                self._f0.append(self._pending_ops)
-                self._f1.append(0)
-                self._f2.append(0)
-            else:
-                self._events.append(Ops(self._pending_ops))
+            self._events.append(Ops(self._pending_ops))
             self._pending_ops = 0
 
     def _emit_ref(self, ref_id, addr, size=8, is_store=False):
         if self._limit is not None and self._refs_emitted >= self._limit:
             raise TraceLimit()
-        if self._columnar:
-            kinds = self._kinds
-            f0 = self._f0
-            f1 = self._f1
-            f2 = self._f2
-            if self._pending_ops:
-                kinds.append(K_OPS)
-                f0.append(self._pending_ops)
-                f1.append(0)
-                f2.append(0)
-                self._pending_ops = 0
-            idx = self._intern.get(ref_id)
-            if idx is None:
-                idx = self._intern[ref_id] = len(self._ref_names)
-                self._ref_names.append(ref_id)
-            kinds.append(K_STORE if is_store else K_LOAD)
-            f0.append(idx)
-            f1.append(addr)
-            f2.append(size)
-        else:
-            if self._pending_ops:
-                self._events.append(Ops(self._pending_ops))
-                self._pending_ops = 0
-            self._events.append(MemRef(ref_id, addr, size, is_store))
+        if self._pending_ops:
+            self._events.append(Ops(self._pending_ops))
+            self._pending_ops = 0
+        self._events.append(MemRef(ref_id, addr, size, is_store))
         self._refs_emitted += 1
 
     def _emit_directive(self, event):
         self._flush_ops()
-        if not self._columnar:
-            self._events.append(event)
-            return
-        etype = event.__class__
-        if etype is LoopBound:
-            self._kinds.append(K_BOUND)
-            self._f0.append(event.bound)
-            self._f1.append(0)
-            self._f2.append(0)
-        elif etype is SetIndirectBase:
-            self._kinds.append(K_SETBASE)
-            self._f0.append(event.base_addr)
-            self._f1.append(event.elem_size)
-            self._f2.append(0)
-        elif etype is IndirectPrefetch:
-            self._kinds.append(K_INDIRECT)
-            self._f0.append(event.base_addr)
-            self._f1.append(event.elem_size)
-            self._f2.append(event.index_addr)
-        else:
-            raise TypeError("cannot lower trace event %r" % (event,))
+        self._events.append(event)
 
     # ------------------------------------------------------------------
     # Public API
@@ -203,8 +142,16 @@ class Interpreter:
         """
         yield from self.run_events(limit)
 
+    def _start(self):
+        if self._ran:
+            raise RuntimeError(
+                "an Interpreter runs once; build a new one for another "
+                "trace of %s" % self.program.name)
+        self._ran = True
+
     def run_events(self, limit=None):
         """Execute the program; return the complete event list."""
+        self._start()
         self._limit = limit
         try:
             self._exec(self.program.body)
@@ -215,36 +162,20 @@ class Interpreter:
         return events
 
     def run_columns(self, limit=None):
-        """Execute the program, lowering events straight to columnar form.
+        """Execute the program compiled to Python; return its columns.
 
         Returns a :class:`~repro.trace.compiled.CompiledTrace` equal to
-        ``CompiledTrace.from_events(self.run_events(limit))`` — same
-        execution path, same emit call sites — without materializing the
-        intermediate per-event objects (the dominant cost of trace
-        generation).  The trace-store correctness tests assert the
-        equality for every workload.
+        ``CompiledTrace.from_events(self.run_events(limit))``: same
+        events, same RNG draws, same ``ref_names`` order, same failures.
+        The compiled function is memoized on the program (see
+        :func:`repro.trace.codegen.trace_program`); the trace-store and
+        codegen tests assert the equality against the walker.
         """
-        self._limit = limit
-        self._columnar = True
-        self._kinds = array("b")
-        self._f0 = array("q")
-        self._f1 = array("q")
-        self._f2 = array("q")
-        self._ref_names = []
-        self._intern = {}
-        try:
-            self._exec(self.program.body)
-        except TraceLimit:
-            pass
-        self._flush_ops()
-        trace = CompiledTrace(
-            self._kinds, self._f0, self._f1, self._f2,
-            self._ref_names, self._refs_emitted,
-        )
-        self._columnar = False
-        self._kinds = self._f0 = self._f1 = self._f2 = None
-        self._ref_names = self._intern = None
-        return trace
+        self._start()
+        lowered = trace_program(self.program, self.compile_result,
+                                self.block_size, self.ops_scale)
+        return lowered.run(limit, self.rng, self._ptrs, self._ptr_reset,
+                           self.space)
 
     # ------------------------------------------------------------------
     # Statement execution

@@ -2,10 +2,10 @@
 
 Three layers of guarantees, matching DESIGN.md's equivalence contract:
 
-* lowering an interpreter run to columns (``run_columns``) yields exactly
-  the trace ``CompiledTrace.from_events`` builds from the same run's
-  event stream, for every registered workload, hinted and unhinted
-  (directives included);
+* the compiled trace generator (``run_columns``) yields exactly the trace
+  ``CompiledTrace.from_events`` builds from the tree walker's event
+  stream, for every registered workload, hinted and unhinted (directives
+  included), across seeds and limits that stop mid-loop;
 * the on-disk form round-trips losslessly, and the trace store serves
   memory/disk hits without rebuilding;
 * the optimized pipeline end to end (compiled trace + fused simulate
@@ -44,9 +44,17 @@ from repro.workloads import get_workload, workload_names
 
 LIMIT = 1200
 
+#: Seeds and limits of the walker/codegen equality matrix.  Every
+#: workload's program is one outer loop emitting far more than 4321
+#: references, so that limit stops each of them mid-nest.
+SEEDS = (1, 99, 12345)
+LIMITS = (0, 1, 7, 999, 4321)
 
-def build_interpreter(name, hinted, indirect_mode="instruction"):
-    """A fresh interpreter for ``name``, with or without compiled hints."""
+
+def interpreter_factory(name, hinted, indirect_mode="instruction",
+                        seed=12345):
+    """Fresh interpreters over one build of ``name``, with or without
+    compiled hints."""
     config = MachineConfig.scaled()
     workload = get_workload(name)
     space = AddressSpace()
@@ -58,12 +66,21 @@ def build_interpreter(name, hinted, indirect_mode="instruction"):
                       variable_regions=True, indirect_mode=indirect_mode)
         if hinted else None
     )
-    interp = Interpreter(program, space, result, seed=12345,
-                         block_size=config.block_size,
-                         ops_scale=workload.ops_scale)
-    for pname, addr in built.pointer_bindings.items():
-        interp.bind_pointer(pname, addr)
-    return interp
+
+    def make():
+        interp = Interpreter(program, space, result, seed=seed,
+                             block_size=config.block_size,
+                             ops_scale=workload.ops_scale)
+        for pname, addr in built.pointer_bindings.items():
+            interp.bind_pointer(pname, addr)
+        return interp
+
+    return make
+
+
+def build_interpreter(name, hinted, indirect_mode="instruction"):
+    """A fresh interpreter for ``name``, with or without compiled hints."""
+    return interpreter_factory(name, hinted, indirect_mode)()
 
 
 def assert_traces_equal(a, b):
@@ -75,17 +92,33 @@ def assert_traces_equal(a, b):
     assert a.ref_count == b.ref_count
 
 
+def assert_codegen_matches_walker(name, hinted):
+    """Each engine gets its own build and sees the same sequence of runs,
+    so samplers that keep state across runs stay in step."""
+    for seed in SEEDS:
+        compiled = interpreter_factory(name, hinted, seed=seed)
+        walked = interpreter_factory(name, hinted, seed=seed)
+        for limit in LIMITS:
+            events = walked().run_events(limit)
+            assert_traces_equal(compiled().run_columns(limit),
+                                CompiledTrace.from_events(events))
+
+
 class TestReplayEquality:
     @pytest.mark.parametrize("name", workload_names())
     def test_columns_match_event_stream_unhinted(self, name):
-        columnar = build_interpreter(name, hinted=False).run_columns(LIMIT)
-        events = list(build_interpreter(name, hinted=False).run(limit=LIMIT))
-        assert_traces_equal(columnar, CompiledTrace.from_events(events))
+        assert_codegen_matches_walker(name, hinted=False)
 
     @pytest.mark.parametrize("name", workload_names())
     def test_columns_match_event_stream_hinted(self, name):
-        columnar = build_interpreter(name, hinted=True).run_columns(LIMIT)
-        events = list(build_interpreter(name, hinted=True).run(limit=LIMIT))
+        assert_codegen_matches_walker(name, hinted=True)
+
+    @pytest.mark.parametrize("name", ["swim", "mcf", "vpr", "bzip2"])
+    def test_full_length_trace(self, name):
+        """The default reference budget, where whole nests run unchecked."""
+        limit = get_workload(name).default_refs
+        columnar = build_interpreter(name, hinted=True).run_columns(limit)
+        events = build_interpreter(name, hinted=True).run_events(limit)
         assert_traces_equal(columnar, CompiledTrace.from_events(events))
 
     @pytest.mark.parametrize("name,mode,kind", [
