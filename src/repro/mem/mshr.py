@@ -11,7 +11,14 @@ paper's configuration).  They serve two roles here:
 
 The file is a mapping from block address to the cycle at which its fill
 completes; entries whose completion time has passed are reclaimed lazily.
+A ``(ready, block)`` min-heap orders the reclaim, so freeing completed
+entries and finding the earliest completion cost O(log n) per entry
+instead of a scan of the whole file.
 """
+
+import heapq
+
+_INF = float("inf")
 
 
 class MSHRCoreStats:
@@ -35,11 +42,20 @@ class MSHRFile:
         if num_entries <= 0:
             raise ValueError("MSHR file needs at least one entry")
         self.num_entries = num_entries
+        #: {block -> fill completion cycle}: the authoritative contents.
         self._inflight = {}
-        #: Lower bound on the earliest outstanding completion; lets
-        #: :meth:`_reclaim` (called on every lookup/allocate/probe) skip
-        #: the scan entirely while no fill can have completed yet.
-        self._min_ready = float("inf")
+        #: Min-heap of ``(ready, block)`` mirroring ``_inflight`` with lazy
+        #: deletion, the same idiom as ``Hierarchy._ready_heap``: every
+        #: ``_inflight`` entry has a heap entry with its ready time, and a
+        #: heap entry whose block is gone or now maps to another ready
+        #: time (the block was re-allocated while in flight) is stale and
+        #: skipped when it reaches the top.
+        self._heap = []
+        #: Lower bound on the earliest outstanding completion (the heap's
+        #: top, or below it once stale tops are discarded); lets
+        #: :meth:`_reclaim` (called on every lookup/allocate/probe) return
+        #: at once while no fill can have completed yet.
+        self._min_ready = _INF
         self.merges = 0
         self.allocations = 0
         self.stalls = 0
@@ -60,10 +76,26 @@ class MSHRFile:
         if now < self._min_ready:
             return
         inflight = self._inflight
-        done = [blk for blk, ready in inflight.items() if ready <= now]
-        for blk in done:
-            del inflight[blk]
-        self._min_ready = min(inflight.values()) if inflight else float("inf")
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            ready, blk = heapq.heappop(heap)
+            if inflight.get(blk) == ready:
+                del inflight[blk]
+        self._min_ready = heap[0][0] if heap else _INF
+
+    def earliest_ready(self):
+        """The earliest completion cycle among in-flight fills.
+
+        Equal to ``min(self._inflight.values())``; the file must not be
+        empty.  Stale heap tops are discarded on the way.
+        """
+        inflight = self._inflight
+        heap = self._heap
+        ready, blk = heap[0]
+        while inflight.get(blk) != ready:
+            heapq.heappop(heap)
+            ready, blk = heap[0]
+        return inflight[blk]
 
     def outstanding(self, now):
         """Number of fills still in flight at cycle ``now``."""
@@ -99,7 +131,7 @@ class MSHRFile:
             return now
         if record_stall:
             self.stalls += 1
-        return min(self._inflight.values())
+        return self.earliest_ready()
 
     def allocate(self, block, ready, now):
         """Claim a register for ``block`` completing at cycle ``ready``.
@@ -110,6 +142,7 @@ class MSHRFile:
         if len(self._inflight) >= self.num_entries:
             raise RuntimeError("MSHR overflow: allocate without a free entry")
         self._inflight[block] = ready
+        heapq.heappush(self._heap, (ready, block))
         if ready < self._min_ready:
             self._min_ready = ready
         self.allocations += 1

@@ -286,6 +286,30 @@ class TestFastSlowEquivalence:
         assert json.dumps(fast, sort_keys=True) \
             == json.dumps(slow, sort_keys=True)
 
+    #: The queue-draining schemes, on the configs that steer the prefetch
+    #: drain's branches: insertion depth (LRU in place, MRU append,
+    #: mid-set insert), FIFO queue order, and the paper's 1 MB L2.
+    DRAIN_SCHEMES = ("srp", "grp", "pointer", "gaze", "chase", "srp-adaptive")
+    DRAIN_WORKLOADS = ("mcf", "ammp", "vpr")
+    DRAIN_CONFIGS = {
+        "default": MachineConfig.scaled(),
+        "insert_mru": MachineConfig.scaled(prefetch_insert="mru"),
+        "insert_depth2": MachineConfig.scaled(prefetch_insert=2),
+        "fifo": MachineConfig.scaled(prefetch_queue_policy="fifo"),
+        "paper": MachineConfig.paper(),
+    }
+
+    @pytest.mark.parametrize("config", sorted(DRAIN_CONFIGS))
+    @pytest.mark.parametrize("scheme", DRAIN_SCHEMES)
+    @pytest.mark.parametrize("workload", DRAIN_WORKLOADS)
+    def test_prefetch_drain_byte_identical(self, workload, scheme, config):
+        spec = RunSpec.create(workload, scheme, limit_refs=LIMIT,
+                              config=self.DRAIN_CONFIGS[config])
+        fast = execute(spec).to_dict()
+        slow = execute(spec, reference=True).to_dict()
+        assert json.dumps(fast, sort_keys=True) \
+            == json.dumps(slow, sort_keys=True)
+
 
 class TestAdaptiveFastSlowEquivalence:
     """Same contract under the feedback loop, with epochs actually firing.

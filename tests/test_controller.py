@@ -1,10 +1,23 @@
 """Unit tests for the memory controller / access prioritizer."""
 
+import json
+
 import pytest
 
 from repro.mem.controller import MemoryController, PrefetchRequest
 from repro.mem.dram import DRAMConfig, DRAMSystem
+from repro.mem.hierarchy import Hierarchy
 from repro.mem.mshr import MSHRFile
+from repro.mem.space import AddressSpace
+from repro.metrics.sink import TraceSink
+from repro.prefetch.srp import SRPPrefetcher
+from repro.prefetch.stride import StridePrefetcher
+from repro.sim.config import MachineConfig
+from repro.sim.runner import SCHEMES, execute, resolve_backend
+from repro.sim.simulator import Simulator
+from repro.sim.spec import RunSpec
+from repro.trace.interp import Interpreter
+from repro.workloads import get_workload
 
 
 class ListPrefetcher:
@@ -206,3 +219,106 @@ class TestBlockedIssueCache:
         controller.issue_prefetches(now=50)
         assert fills == []
         assert controller._blocked_until == -1.0
+
+
+def build(workload_name, scheme, reference, config):
+    """A fresh simulator for ``workload_name`` and its trace interpreter."""
+    workload = get_workload(workload_name)
+    space = AddressSpace()
+    built = workload.build(space)
+    interp = Interpreter(built.program.finalize(), space, None,
+                         block_size=config.block_size,
+                         ops_scale=workload.ops_scale)
+    for name, addr in built.pointer_bindings.items():
+        interp.bind_pointer(name, addr)
+    sim = Simulator(config, space, SCHEMES[scheme].factory(None),
+                    reference=reference)
+    return sim, interp
+
+
+class TestDrainHooks:
+    """The one-frame drain builds a PrefetchRequest only for a reader; the
+    objects it builds for engine hooks must carry what the decomposed
+    loop's popped requests carry, in the same order."""
+
+    @pytest.mark.parametrize("workload", ["mcf", "ammp"])
+    def test_hook_requests_match_reference(self, workload, monkeypatch):
+        # ammp's regions overlap demand-filled blocks, so its candidates
+        # are also dropped as resident; mcf's are not.
+        seen = []
+
+        def dropped(self, request):
+            seen.append(("drop", request.block, request.queued_at,
+                         request.depth, request.meta.base))
+
+        def filled(self, request, ready):
+            seen.append(("fill", request.block, request.queued_at,
+                         request.depth, request.meta.base, ready))
+
+        monkeypatch.setattr(SRPPrefetcher, "on_candidate_dropped", dropped)
+        monkeypatch.setattr(SRPPrefetcher, "on_prefetch_fill", filled)
+        spec = RunSpec.create(workload, "srp", limit_refs=1500)
+        fast = execute(spec).to_dict()
+        fast_seen, seen[:] = list(seen), []
+        slow = execute(spec, reference=True).to_dict()
+        kinds = {event[0] for event in fast_seen}
+        assert kinds == ({"drop", "fill"} if workload == "ammp"
+                         else {"fill"})
+        assert fast_seen == seen
+        assert json.dumps(fast, sort_keys=True) \
+            == json.dumps(slow, sort_keys=True)
+
+    @pytest.mark.parametrize("config", ["scaled", "tiny"])
+    @pytest.mark.parametrize("workload", ["ammp", "mcf"])
+    def test_final_state_matches_reference(self, workload, config):
+        """State the run's stats leave out must match the oracle's too:
+        the L2's sets and shadow-tag FIFO in order, the MSHR file, the
+        in-flight prefetch map, the region queue, and the controller's
+        counters.  The blocked-MSHR count checks its identity rule: the
+        reference run re-probes a held candidate on every access, the
+        drain only once its cached bound expires, and each counts the
+        candidate once.  The tiny L2 keeps its shadow set overflowing."""
+        states = []
+        for reference in (False, True):
+            sim, interp = build(workload, "srp", reference,
+                                getattr(MachineConfig, config)())
+            if reference:
+                sim.run(interp.run(limit=3000))
+            else:
+                sim.run_compiled(interp.run_columns(3000),
+                                 backend=resolve_backend("auto"))
+            hier = sim.hierarchy
+            controller = hier.controller
+            queue = hier.prefetcher.queue
+            states.append({
+                "sets": [[(line.block, line.dirty, line.prefetched,
+                           line.referenced, line.owner) for line in lines]
+                         for lines in hier.l2._sets],
+                "shadow": list(hier.l2._shadow.items()),
+                "mshr": hier.l2_mshrs._inflight,
+                "prefetch_ready": hier._prefetch_ready,
+                "queue": [(e.base, e.bitvec, e.index, e.queued_at)
+                          for e in queue._entries],
+                "counters": (controller.prefetches_issued,
+                             controller.prefetches_dropped_resident,
+                             controller.prefetches_blocked_mshr),
+            })
+        assert states[0]["counters"][2] > 0
+        assert len(states[0]["shadow"]) > 0
+        assert states[0] == states[1]
+
+    def test_drain_is_bound_only_off_the_oracle_paths(self, tmp_path):
+        space = AddressSpace()
+        config = MachineConfig.scaled()
+        fast = Hierarchy(config, space, SRPPrefetcher())
+        assert fast.controller._drain is not None
+        assert Hierarchy(config, space, SRPPrefetcher(),
+                         reference=True).controller._drain is None
+        sink = TraceSink(str(tmp_path / "trace.jsonl"))
+        try:
+            assert Hierarchy(config, space, SRPPrefetcher(),
+                             trace_sink=sink).controller._drain is None
+        finally:
+            sink.close()
+        assert Hierarchy(config, space, StridePrefetcher()) \
+            .controller._drain is None

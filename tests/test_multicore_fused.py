@@ -57,6 +57,14 @@ class TestDifferentialMatrix:
         assert json.dumps(results["stepped"], sort_keys=True) \
             == json.dumps(results["fused"], sort_keys=True)
 
+    def test_mru_prefetch_insert_byte_identical(self):
+        """Prefetch fills appended at MRU instead of recycled in place."""
+        results = both_backends(
+            ["ammp", "mcf"], "srp",
+            config=MachineConfig.scaled(prefetch_insert="mru"))
+        assert json.dumps(results["stepped"], sort_keys=True) \
+            == json.dumps(results["fused"], sort_keys=True)
+
     def test_solo_baseline_summary_identical(self):
         """The fairness/slowdown summary block matches too."""
         outs = {}
