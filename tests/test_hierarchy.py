@@ -194,7 +194,7 @@ class TestPruneReady:
         hier, space, config = make()
         base = space.malloc(1 << 12, align=4096)
         block = base & hier._block_mask
-        hier.l2.fill_prefetch_block(block)
+        hier.l2.fill(block, prefetched=True)
         self.prime(hier, [(block, 5000.0)])
         hier._prune_ready(100.0)
         assert hier._prefetch_ready == {block: 5000.0}

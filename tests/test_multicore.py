@@ -131,7 +131,7 @@ class TestCrossCorePollution:
         # evicting both of core 0's lines.
         cache.active_core = 1
         for i in range(2, 4):
-            cache.fill_prefetch_block(i * set_stride)
+            cache.fill(i * set_stride, prefetched=True)
         assert matrix.prefetch_evictions[1][0] == 2
 
         # Core 0 touches its data again: pollution misses, charged to
@@ -156,7 +156,7 @@ class TestCrossCorePollution:
             cache.access_block(i * set_stride)
             cache.fill(i * set_stride)
         for i in range(2, 4):
-            cache.fill_prefetch_block(i * set_stride)
+            cache.fill(i * set_stride, prefetched=True)
         for i in range(2):
             cache.access_block(i * set_stride)
         assert cache.stats.pollution_misses == 2
