@@ -9,6 +9,8 @@ needs from the compiler:
   ``LoopBound`` directives (for variable-size regions).
 """
 
+import hashlib
+
 from repro.compiler.hints import HintTable
 from repro.compiler.passes.indirect import detect_indirect
 from repro.compiler.passes.pointer import generate_pointer_hints
@@ -50,6 +52,35 @@ class CompileResult:
     def counts(self):
         """Table 3-style static hint counts."""
         return self.hint_table.counts()
+
+    def fingerprint(self):
+        """A digest of everything a run reads from this compile.
+
+        Covers the hint table (every hint's bits and the summary
+        counts), the indirect sites, the bound loops and the indirect
+        mode; ``indirect_base_loops`` is derived from the sites and the
+        mode.  ``program`` is fixed by the workload and scale, and
+        ``policy`` is only the request that produced the rest, so both
+        are left out: two policies whose compiles coincide fingerprint
+        alike, and their runs are the same run.
+        """
+        table = self.hint_table
+        hints = sorted(
+            (repr(ref_id), h.spatial, h.pointer, h.recursive,
+             h.region_coeff, h.indirect)
+            for ref_id, h in table._hints.items())
+        sites = sorted(
+            (repr(ref_id), _array_key(info.target_array),
+             _array_key(info.index_array), info.scale, info.offset,
+             info.loop_id)
+            for ref_id, info in self.indirect_sites.items())
+        data = (hints, table.indirect_directives, table.total_refs, sites,
+                sorted(self.bound_loops), self.indirect_mode)
+        return hashlib.sha256(repr(data).encode("utf-8")).hexdigest()
+
+
+def _array_key(array):
+    return (array.name, array.base, array.elem_size)
 
 
 def compile_hints(program, l2_size=1024 * 1024, block_size=64,

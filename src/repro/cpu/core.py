@@ -29,6 +29,24 @@ end, or a reference limit.  Three callers share it: ``execute_compiled``
 arbitration stretch, bounded by the other cores' next issue times), and
 the vectorized backend's scalar catch-up (a ``-inf`` frontier, so
 exactly one event).
+
+The issue ring's refill memo
+----------------------------
+``run_span`` keeps two facts about the ring beside it: ``_fill``, the
+value the last full-window refill (an ``Ops`` batch of at least
+``window`` instructions) wrote to every slot, and ``_since``, the number
+of ring writes after it.  While ``_since < window`` every slot outside
+those last writes still holds ``_fill``, and the head sits at slot
+``_since`` (a full refill leaves it at slot 0, and each write advances
+both), so the written slots are ``ring[:_since]``.  The closed form for
+an ALU batch scans the slots in head order, and the unwritten ones come
+first: all hold one value, whose candidate ``fill + (count - d) / width``
+can only fall with depth ``d`` (IEEE rounding is monotone), so the
+depth-0 term stands for all of them and only the written slots need a
+scan.  The result is the full scan's, at any issue width or latency.
+Writers of the ring outside ``run_span`` and the vectorized walker
+(the oracle loops :meth:`Core.execute` and :meth:`Core.step`) set
+``_since = window``, which sends the next batch to the full scan.
 """
 
 from repro.trace.compiled import K_BOUND, K_OPS, K_SETBASE, K_STORE
@@ -63,6 +81,11 @@ class Core:
         self.inv_width = 1.0 / config.issue_width
         self._ring = [0.0] * self.window
         self._head = 0
+        #: The last full-window refill's value and the ring writes since
+        #: it (see the module docstring); ``_since >= window`` means the
+        #: pair says nothing.
+        self._fill = 0.0
+        self._since = 0
         self._clock = 0.0
         self.instructions = 0
         self.load_stall_cycles = 0.0
@@ -172,6 +195,7 @@ class Core:
         run after that many memory references.
         """
         refs = 0
+        self._since = self.window  # _issue/_issue_ops do not keep the pair
         hierarchy = self.hierarchy
         access = hierarchy.access
         table = self.hint_table
@@ -278,6 +302,8 @@ class Core:
         ring = self._ring
         clock = self._clock
         head = self._head
+        fill = self._fill
+        since = self._since
         instructions = self.instructions
         load_stall = self.load_stall_cycles
         refs = 0
@@ -351,6 +377,7 @@ class Core:
                     head += 1
                     if head == window:
                         head = 0
+                    since += 1
                     instructions += 1
                     s = clock - before - inv
                     if s > 0.0:
@@ -379,13 +406,33 @@ class Core:
                             head += 1
                             if head == window:
                                 head = 0
+                        since += count
                         instructions += count
                     else:
                         # _issue_ops' closed form (count > 32), inlined
                         # (same operations, same order).
                         base = clock
                         clock = base + count * inv
-                        if max(ring) > base:
+                        if since < window:
+                            # The refill memo: the unwritten slots, depths
+                            # 0 .. lag-1, all hold `fill`, so the depth-0
+                            # term stands for them; depth lag onward reads
+                            # the written slots ring[0], ring[1], ...
+                            if fill > base:
+                                candidate = fill + count * inv
+                                if candidate > clock:
+                                    clock = candidate
+                            lag = window - since
+                            rem = count - lag
+                            for slot in range(
+                                    (count if count < window else window)
+                                    - lag):
+                                completion = ring[slot]
+                                if completion > base:
+                                    candidate = completion + (rem - slot) * inv
+                                    if candidate > clock:
+                                        clock = candidate
+                        elif max(ring) > base:
                             slot = head
                             for d in range(
                                     count if count < window else window):
@@ -397,20 +444,23 @@ class Core:
                                 slot += 1
                                 if slot == window:
                                     slot = 0
-                        fill = clock + 1.0
+                        value = clock + 1.0
                         if count >= window:
-                            ring[:] = [fill] * window
+                            ring[:] = [value] * window
                             head = 0
+                            fill = value
+                            since = 0
                         else:
                             end = head + count
                             if end <= window:
-                                ring[head:end] = [fill] * count
+                                ring[head:end] = [value] * count
                                 head = 0 if end == window else end
                             else:
-                                ring[head:] = [fill] * (window - head)
+                                ring[head:] = [value] * (window - head)
                                 end -= window
-                                ring[:end] = [fill] * end
+                                ring[:end] = [value] * end
                                 head = end
+                            since += count
                         instructions += count
                 else:
                     event = _directive_event(kind, f0[pos], f1[pos], f2[pos])
@@ -424,6 +474,7 @@ class Core:
                     head += 1
                     if head == window:
                         head = 0
+                    since += 1
                     instructions += 1
                     directive(event, completion)
                 pos += 1
@@ -436,6 +487,8 @@ class Core:
         finally:
             self._clock = clock
             self._head = head
+            self._fill = fill
+            self._since = since
             self.instructions = instructions
             self.load_stall_cycles = load_stall
         return pos
@@ -468,6 +521,7 @@ class Core:
         stepped replay issues the identical operation sequence.
         """
         self._step_access = self.hierarchy.access
+        self._since = self.window  # step() does not keep the ring pair
         adapt = getattr(self.hierarchy, "adapt", None)
         self._step_note = adapt.note_access if adapt is not None else None
 

@@ -469,7 +469,12 @@ class MemoryController:
                 heappush(ready_heap, (ready, block))
                 if len(prefetch_ready) > 4096:
                     prune_ready(ready)
-                if on_fill is not None:
+                # The fill hook runs only for depth > 0 (its contract,
+                # see Prefetcher.on_prefetch_fill): a depth-0 fill needs
+                # no request object and leaves the queue head in place.
+                if on_fill is not None and (
+                        entry.depth if request is None
+                        else request.depth) > 0:
                     if request is None:
                         request = PrefetchRequest(
                             block, queued_at, entry.depth, entry)

@@ -50,7 +50,16 @@ class Prefetcher:
         """The missing line arrived from DRAM (GRP scans it for pointers)."""
 
     def on_prefetch_fill(self, request, ready):
-        """A prefetched line arrived (recursive pointer chase continues)."""
+        """A prefetched line arrived (recursive pointer chase continues).
+
+        For engines that fill the L2 (``fills_l2``) the hook is called
+        only for ``request.depth > 0``: a depth-0 candidate has no
+        pointer levels left to follow, and the prefetch drain skips the
+        call, the request it would build and the queue-head re-select.
+        The per-candidate oracle loop still calls it at depth 0, so there
+        it must change nothing.  Stream-buffer engines (``fills_l2``
+        False) take only the oracle loop and see every fill.
+        """
 
     def on_directive(self, event, now):
         """A software directive from the trace (loop bound / indirect pf)."""

@@ -5,7 +5,12 @@ returns their :class:`~repro.sim.stats.SimStats` **in the same order**,
 regardless of how many worker processes ran them or which finished first
 — parallelism never changes results, only wall-clock.
 
-Duplicate specs in the input are simulated once.  With a
+Duplicate specs in the input are simulated once, and so are specs that
+share a replay identity (:func:`repro.sim.runner.replay_key`): compiler
+policies whose compiles coincide make the same run, so one trace
+generation and one replay serve them all.  Each spec still gets its own
+result object and its own cache entry.  Traced batches run every spec,
+since each writes its own trace file.  With a
 :class:`~repro.sim.cache.ResultCache`, hits skip simulation entirely and
 fresh results are written back.  Specs and results cross the process
 boundary in their ``to_dict`` forms, the same serialization the
@@ -74,7 +79,7 @@ def run_batch(specs, jobs=1, cache=None, progress=None, trace_dir=None):
     (a cache hit would leave no trace behind) but still write results
     back, since tracing never changes the stats.
     """
-    from repro.sim.runner import execute
+    from repro.sim.runner import execute, replay_key
 
     specs = list(specs)
     uniques = list(dict.fromkeys(specs))
@@ -107,31 +112,57 @@ def run_batch(specs, jobs=1, cache=None, progress=None, trace_dir=None):
         else:
             pending.append(spec)
 
+    def identity(spec):
+        # Traced runs each write their own trace file, so they key as
+        # themselves; so do co-runs.
+        if trace_dir is None and not isinstance(spec, CoRunSpec):
+            return replay_key(spec)
+        return spec
+
+    def simulate(spec):
+        if isinstance(spec, CoRunSpec):
+            from repro.sim.multicore import execute_corun
+            return execute_corun(spec)
+        return execute(spec, trace_path=trace_path(spec))
+
     workers = resolve_jobs(jobs)
+    pool = None
     if workers <= 1 or len(pending) <= 1:
-        for spec in pending:
-            if isinstance(spec, CoRunSpec):
-                from repro.sim.multicore import execute_corun
-                stats = execute_corun(spec)
+        # Serial: each key is computed just before its spec resolves, so
+        # workloads build in input order.
+        keys = map(identity, pending)
+    else:
+        # The parent computes every key, so workers see only the runs,
+        # one per replay identity, in first-occurrence order.
+        keys = [identity(spec) for spec in pending]
+        first = {}
+        for key, spec in zip(keys, pending):
+            first.setdefault(key, spec)
+        runs = list(first.values())
+        pool = multiprocessing.get_context().Pool(
+            processes=min(workers, len(runs)))
+        payloads = [(spec.to_dict(), trace_path(spec)) for spec in runs]
+        # imap preserves input order, so completion timing cannot
+        # reorder results.
+        outcomes = pool.imap(_worker, payloads, chunksize=1)
+    try:
+        by_key = {}
+        for spec, key in zip(pending, keys):
+            shared = by_key.get(key)
+            if shared is not None:
+                # Its own object, as if it had run.
+                stats = result_from_dict(shared.to_dict())
+            elif pool is None:
+                stats = by_key[key] = simulate(spec)
             else:
-                stats = execute(spec, trace_path=trace_path(spec))
+                stats = by_key[key] = result_from_dict(next(outcomes))
             if cache is not None:
                 cache.put(spec, stats)
             resolved[spec] = stats
             note(spec, False)
-    else:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=min(workers, len(pending))) as pool:
-            payloads = [(spec.to_dict(), trace_path(spec))
-                        for spec in pending]
-            # imap preserves input order, so completion timing cannot
-            # reorder results.
-            for spec, data in zip(pending,
-                                  pool.imap(_worker, payloads, chunksize=1)):
-                stats = result_from_dict(data)
-                if cache is not None:
-                    cache.put(spec, stats)
-                resolved[spec] = stats
-                note(spec, False)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
     return [resolved[spec] for spec in specs]

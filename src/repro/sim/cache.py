@@ -264,17 +264,19 @@ class ResultCache:
         with a quarantine move of the same entry.
         """
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
+        # json.dumps, not json.dump: the same bytes, but dump always
+        # runs the pure-Python encoder and dumps the C one.
+        data = json.dumps({
             "version": version_salt(),
             "spec": spec.to_dict(),
             "stats": stats.to_dict(),
-        }
+        }, sort_keys=True)
         with self.lock:
             fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir),
                                        suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, sort_keys=True)
+                    handle.write(data)
                 os.replace(tmp, self.path_for(spec))
             except BaseException:
                 try:

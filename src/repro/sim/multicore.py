@@ -39,7 +39,6 @@ Degenerate case
     ``execute(RunSpec.create(w, s))``.  The tests pin this contract.
 """
 
-from repro.compiler.driver import compile_hints
 from repro.cpu.core import Core
 from repro.mem.cache import Cache
 from repro.mem.dram import DRAMSystem
@@ -170,7 +169,7 @@ class CoreCell:
     def __init__(self, cell_spec, core_id, shared, config, compiled=False):
         # Late import: runner imports spec/stats, and the experiment layer
         # imports us — mirror RunSpec.create's cycle-breaking pattern.
-        from repro.sim.runner import SCHEMES, _built_workload
+        from repro.sim.runner import SCHEMES, _built_workload, _compile
 
         workload = get_workload(cell_spec.workload)
         scheme_spec = SCHEMES[cell_spec.scheme]
@@ -178,14 +177,7 @@ class CoreCell:
             workload, cell_spec.scale, cacheable=True,
             base=core_id * CORE_BASE_STRIDE)
         if scheme_spec.hinted:
-            result = compile_hints(
-                program,
-                l2_size=config.l2_size,
-                block_size=config.block_size,
-                policy=cell_spec.policy,
-                variable_regions=scheme_spec.variable_regions,
-                indirect_mode=scheme_spec.indirect_mode,
-            )
+            result = _compile(program, scheme_spec, config, cell_spec.policy)
             hint_table = result.hint_table
             compile_for_trace = result
         else:

@@ -9,9 +9,11 @@ resume plus the generic access path per event.
 
 This module replaces the per-event dispatch with *stretches*:
 
-1.  Arbitrate once with the **identical** round-robin scan (strict ``<``
+1.  Arbitrate once with the **identical** round-robin rule (strict ``<``
     scanning from the core after the previous winner, so the previous
-    winner is examined last and continues only on a strict minimum).
+    winner is examined last and continues only on a strict minimum):
+    the winner is the first core holding the minimum key at or after
+    ``rr``, wrapping, found with ``min`` and ``list.index``.
 2.  Compute the *frontier* — the minimum ``next_issue_at`` over every
     other live core.  Those values are frozen while the winner runs:
     ``next_issue_at = max(clock, ring[head])`` is a pure function of the
@@ -91,39 +93,34 @@ class FusedMultiCoreSimulator(MultiCoreSimulator):
              cell.hierarchy.controller, len(cell.trace.kinds))
             for cell in cells
         ]
-        nias = [cell.core.next_issue_at() for cell in cells]
-        live = [lane[3] > 0 for lane in lanes]
-        remaining = sum(live)
+        # Finished cores sit at +inf, so min() only ever picks live ones.
+        nias = [cell.core.next_issue_at() if lane[3] > 0 else _INF
+                for cell, lane in zip(cells, lanes)]
+        remaining = sum(1 for lane in lanes if lane[3] > 0)
         positions = [0] * n
         rr = 0
         watermark = 0
         while remaining:
             # Arbitration: the stepped loop's scan — strict < from rr,
             # so the previous winner (scanned last) continues only on a
-            # strict minimum — extended to track the runner-up key in
-            # the same pass.  The runner-up is the *frontier*: the
-            # minimum next_issue_at over the other live cores, frozen
-            # for the stretch (their state cannot move).  A core tying
-            # the winner's key lands in the runner-up slot (strict <
-            # again), so ties stop the stretch after one event, exactly
-            # where the stepped arbiter would switch cores.  The sole
-            # survivor sees an infinite frontier and runs to completion.
-            best = -1
-            best_key = _INF
-            frontier = _INF
-            for step in range(n):
-                i = rr + step
-                if i >= n:
-                    i -= n
-                if not live[i]:
-                    continue
-                key = nias[i]
-                if key < best_key:
-                    frontier = best_key
-                    best = i
-                    best_key = key
-                elif key < frontier:
-                    frontier = key
+            # strict minimum — is the first core at the minimum key at
+            # or after rr, wrapping.  The *frontier* is the minimum
+            # next_issue_at over the other live cores, frozen for the
+            # stretch (their state cannot move).  A core tying the
+            # winner's key makes the frontier the key itself, so ties
+            # stop the stretch after one event, exactly where the
+            # stepped arbiter would switch cores.  The sole survivor
+            # sees an infinite frontier and runs to completion.
+            key = min(nias)
+            try:
+                best = nias.index(key, rr)
+            except ValueError:
+                best = nias.index(key)
+            if nias.count(key) > 1:
+                frontier = key
+            else:
+                nias[best] = _INF  # overwritten after the stretch
+                frontier = min(nias)
             core, ctx, controller, n_events = lanes[best]
             shared.set_active(best)
             if watermark > controller.demand_busy_until:
@@ -131,12 +128,13 @@ class FusedMultiCoreSimulator(MultiCoreSimulator):
             pos = core.run_span(ctx, positions[best], frontier)
             positions[best] = pos
             if pos == n_events:
-                live[best] = False
+                nias[best] = _INF
                 remaining -= 1
-            # core.next_issue_at(), inlined.
-            clock = core._clock
-            e = core._ring[core._head]
-            nias[best] = clock if clock >= e else e
+            else:
+                # core.next_issue_at(), inlined.
+                clock = core._clock
+                e = core._ring[core._head]
+                nias[best] = clock if clock >= e else e
             if controller.demand_busy_until > watermark:
                 watermark = controller.demand_busy_until
             rr = best + 1

@@ -19,6 +19,8 @@ derived from it, so a newly registered scheme shows up everywhere
 without further edits.
 """
 
+import dataclasses
+
 from repro.adapt.engines import (
     AdaptiveChasePrefetcher,
     AdaptiveGazePrefetcher,
@@ -287,6 +289,38 @@ def _built_workload(workload, scale, cacheable, base=0):
     return entry
 
 
+def _compile(program, scheme_spec, config, policy):
+    """The hint compile a hinted scheme's run consumes."""
+    return compile_hints(
+        program,
+        l2_size=config.l2_size,
+        block_size=config.block_size,
+        policy=policy,
+        variable_regions=scheme_spec.variable_regions,
+        indirect_mode=scheme_spec.indirect_mode,
+    )
+
+
+def replay_key(spec):
+    """A RunSpec's replay identity: specs with equal keys run alike.
+
+    A run reads the compiler only through its
+    :class:`~repro.compiler.driver.CompileResult`, so a hinted spec keys
+    as itself with ``policy`` replaced by the compile's
+    :meth:`~repro.compiler.driver.CompileResult.fingerprint`: policies
+    whose compiles coincide share a key.  Unhinted specs (their policy
+    is already canonical) key as themselves.
+    """
+    scheme_spec = SCHEMES[spec.scheme]
+    if not scheme_spec.hinted:
+        return spec
+    _, _, program = _built_workload(get_workload(spec.workload), spec.scale,
+                                    True)
+    result = _compile(program, scheme_spec, spec.machine_config(),
+                      spec.policy)
+    return dataclasses.replace(spec, policy=result.fingerprint())
+
+
 def _simulate(workload, scheme, scheme_spec, config, mode, policy,
               limit_refs, scale, seed, trace_path=None, reference=False,
               cacheable=True, backend="auto"):
@@ -300,14 +334,7 @@ def _simulate(workload, scheme, scheme_spec, config, mode, policy,
     # for none/stride/srp/pointer saves all its pass time on runs that
     # would discard the result anyway.
     if scheme_spec.hinted:
-        result = compile_hints(
-            program,
-            l2_size=config.l2_size,
-            block_size=config.block_size,
-            policy=policy,
-            variable_regions=scheme_spec.variable_regions,
-            indirect_mode=scheme_spec.indirect_mode,
-        )
+        result = _compile(program, scheme_spec, config, policy)
         hint_table = result.hint_table
         compile_for_trace = result
         hint_sig = hint_signature(policy, scheme_spec.variable_regions,

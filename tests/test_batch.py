@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.sim.batch import resolve_jobs, run_batch
-from repro.sim.cache import ResultCache
+from repro.sim.cache import ResultCache, version_salt
 from repro.sim.config import MachineConfig
 from repro.sim.runner import execute, run_workload
 from repro.sim.spec import RunSpec, config_from_dict, config_to_dict
@@ -149,6 +149,30 @@ class TestPersistentCache:
         cache.put(spec, stats)
         assert cache.get(spec).to_dict() == stats.to_dict()
         assert len(cache) == 1
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        """Entries are sorted-key JSON with the default separators: the
+        bytes the pure-Python encoder wrote before put switched to the
+        C one."""
+
+        class Stats:
+            def to_dict(self):
+                return {"b": 0.1 + 0.2, "a": [1, 2.0, "x\u00e9"],
+                        "c": {"2": None, "10": True}}
+
+        cache = ResultCache(tmp_path)
+        spec = RunSpec.create("vpr", "none", limit_refs=100)
+        cache.put(spec, Stats())
+        written = cache.path_for(spec).read_text()
+        assert written.startswith('{"spec": {"backend": "auto", "config": ')
+        assert written.endswith(
+            ', "stats": {"a": [1, 2.0, "x\\u00e9"], "b": '
+            '0.30000000000000004, "c": {"10": true, "2": null}}, '
+            '"version": %s}' % json.dumps(version_salt()))
+        payload = {"version": version_salt(), "spec": spec.to_dict(),
+                   "stats": Stats().to_dict()}
+        python_encoder = json.JSONEncoder(sort_keys=True)
+        assert written == "".join(python_encoder.iterencode(payload))
 
     def test_batch_reuses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -57,6 +57,15 @@ class TestDifferentialMatrix:
         assert json.dumps(results["stepped"], sort_keys=True) \
             == json.dumps(results["fused"], sort_keys=True)
 
+    @pytest.mark.parametrize("scheme", ["none", "srp"])
+    def test_all_ties_byte_identical(self, scheme):
+        """Every core on the same trace: the cores tie at every
+        arbitration until shared-level contention sets them apart, so
+        the round-robin tie rule decides nearly every stretch."""
+        results = both_backends(["swim"] * 4, scheme)
+        assert json.dumps(results["stepped"], sort_keys=True) \
+            == json.dumps(results["fused"], sort_keys=True)
+
     def test_mru_prefetch_insert_byte_identical(self):
         """Prefetch fills appended at MRU instead of recycled in place."""
         results = both_backends(

@@ -16,28 +16,40 @@ count differently from 3.9 and 3.11.
 import json
 import os
 import sys
+import types
 
 import pytest
 
 import repro
 from repro.compiler.driver import compile_hints
+from repro.mem.controller import PrefetchRequest
 from repro.mem.space import AddressSpace
+from repro.prefetch.base import Prefetcher
+from repro.sim.multicore import MultiCoreSimulator
+from repro.sim.multicore_fused import FusedMultiCoreSimulator
 from repro.sim.runner import SCHEMES, execute, resolve_backend
 from repro.sim.simulator import Simulator
-from repro.sim.spec import RunSpec
+from repro.sim.spec import CoRunSpec, RunSpec
 from repro.trace.interp import Interpreter
 from repro.workloads import get_workload
 
 REFS = 2000
 
 #: (workload, scheme) -> (prefetch fills, budget of repro calls).  The
-#: budgets are the counts measured when the one-frame prefetch drain
-#: landed; the decomposed per-candidate loop before it made 122,937 calls
-#: on ammp/srp (6.16 per fill) and 56,699 on mcf/grp (31.4 per fill).
+#: decomposed per-candidate loop made 122,937 calls on ammp/srp (6.16 per
+#: fill) and 56,699 on mcf/grp (31.4 per fill); the one-frame prefetch
+#: drain cut them to 29,083 and 47,719, and skipping the fill hook for
+#: depth-0 candidates cut mcf/grp to the budget below.
 BUDGETS = {
-    ("ammp", "srp"): (19944, 29083),
-    ("mcf", "grp"): (1803, 47719),
+    ("ammp", "srp"): (19944, 29053),
+    ("mcf", "grp"): (1803, 45841),
 }
+
+#: The ammp+art co-run under GRP (a cell of the benchmark's corun
+#: workload): (per-core prefetch fills, budget of repro calls) for the
+#: fused co-run loop at REFS references per core.
+CORUN = (("ammp", "art"), "grp")
+CORUN_BUDGET = ((395, 94), 33267)
 
 PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 COMPREHENSIONS = {"<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>"}
@@ -68,9 +80,8 @@ def prepare(spec):
     return sim, trace
 
 
-def counted_replay(spec):
-    """Replay ``spec``; return its stats and the repro calls it made."""
-    sim, trace = prepare(spec)
+def counted(run):
+    """Call ``run()``; return its result and the repro calls it made."""
     calls = [0]
 
     def profile(frame, event, arg):
@@ -80,14 +91,20 @@ def counted_replay(spec):
                     and code.co_name not in COMPREHENSIONS:
                 calls[0] += 1
 
-    backend = resolve_backend(spec.backend)
     sys.setprofile(profile)
     try:
-        stats = sim.run_compiled(trace, workload=spec.workload,
-                                 scheme=spec.scheme, backend=backend)
+        result = run()
     finally:
         sys.setprofile(None)
-    return stats, calls[0]
+    return result, calls[0]
+
+
+def counted_replay(spec):
+    """Replay ``spec``; return its stats and the repro calls it made."""
+    sim, trace = prepare(spec)
+    backend = resolve_backend(spec.backend)
+    return counted(lambda: sim.run_compiled(
+        trace, workload=spec.workload, scheme=spec.scheme, backend=backend))
 
 
 @pytest.mark.parametrize("cell", sorted(BUDGETS), ids="/".join)
@@ -107,3 +124,97 @@ def test_calls_per_fill_within_budget(cell):
     assert json.dumps(stats.to_dict(), sort_keys=True) \
         == json.dumps(reference.to_dict(), sort_keys=True)
 
+
+
+def corun_results(simulator):
+    """A finished co-run's per-core stats and shared summary, as JSON."""
+    shared = simulator.shared
+    return json.dumps({
+        "cores": [stats.to_dict() for stats in simulator.results()],
+        "l2": shared.l2.stats.snapshot(),
+        "interference": shared.interference.snapshot(),
+        "dram_busy": shared.dram.core_busy_cycles,
+    }, sort_keys=True)
+
+
+def test_corun_calls_within_budget():
+    workloads, scheme = CORUN
+    fills, budget = CORUN_BUDGET
+    spec = CoRunSpec.create(workloads, scheme, limit_refs=REFS)
+    fused = FusedMultiCoreSimulator(spec)  # builds the traces uncounted
+    _, calls = counted(fused.run)
+    assert tuple(stats.l2["prefetch_fills"]
+                 for stats in fused.results()) == fills
+    assert calls <= budget, (
+        "%s/%s: %d repro calls, budget %d"
+        % ("+".join(workloads), scheme, calls, budget))
+    # The counted co-run must agree with the stepped oracle byte for
+    # byte.
+    stepped = MultiCoreSimulator(spec)
+    stepped.run()
+    assert corun_results(fused) == corun_results(stepped)
+
+
+#: Schemes whose engine fills the L2 and overrides the fill hook: the
+#: engines the "depth > 0 only" contract of on_prefetch_fill covers.
+HOOKED = sorted(
+    name for name, scheme in SCHEMES.items()
+    if scheme.engine is not None and getattr(scheme.engine, "fills_l2", True)
+    and scheme.engine.on_prefetch_fill is not Prefetcher.on_prefetch_fill)
+
+
+def engine_state(engine):
+    """A structural dump of everything ``engine`` owns (not the
+    hierarchy, address space or config it is attached to)."""
+    seen = set()
+
+    def dump(obj):
+        if obj is None or isinstance(obj, (bool, int, float, str)):
+            return obj
+        if isinstance(obj, (types.FunctionType, types.MethodType,
+                            types.BuiltinFunctionType)):
+            return ("callable", getattr(obj, "__qualname__", repr(obj)))
+        if id(obj) in seen:
+            return ("seen", type(obj).__name__)
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            return [(repr(key), dump(value)) for key, value in obj.items()]
+        if isinstance(obj, (set, frozenset)):
+            return sorted(map(repr, obj))
+        if isinstance(obj, (list, tuple)) or hasattr(obj, "popleft"):
+            return [dump(value) for value in obj]
+        fields = dict(getattr(obj, "__dict__", {}))
+        for cls in type(obj).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                if hasattr(obj, name):
+                    fields[name] = getattr(obj, name)
+        return (type(obj).__name__,
+                [(name, dump(value)) for name, value in sorted(fields.items())
+                 if name not in ("hierarchy", "space", "config")])
+
+    return dump(engine)
+
+
+def test_fill_hooked_schemes_are_the_pointer_followers():
+    assert HOOKED == [
+        "chase", "chase-adaptive", "grp", "grp-adaptive", "grp-fix",
+        "grp-hintbit", "pointer", "pointer-recursive"]
+
+
+@pytest.mark.parametrize("scheme", HOOKED)
+def test_depth_zero_fill_hook_changes_nothing(scheme):
+    """The drain skips on_prefetch_fill at depth 0; the oracle loop still
+    calls it, so there it must be a no-op."""
+    spec = RunSpec.create("mcf", scheme, limit_refs=REFS)
+    sim, trace = prepare(spec)
+    sim.run_compiled(trace, backend="fused")
+    engine = sim.hierarchy.prefetcher
+    now = sim.core.cycles
+    blocks = list(sim.hierarchy.l2._index)[:8]
+    assert blocks
+    before = engine_state(engine)
+    for block in blocks:
+        for meta in (None, (None, 0)):
+            engine.on_prefetch_fill(PrefetchRequest(block, now, 0, meta),
+                                    now + 100)
+    assert engine_state(engine) == before
