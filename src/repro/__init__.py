@@ -36,7 +36,7 @@ from repro.sim.stats import (
 )
 from repro.sim.supervisor import SweepAborted, SweepSupervisor
 
-# 1.6.0: vectorized replay backend + RunSpec.backend field + the
+# 1.6.0: a second replay backend (since deleted) + RunSpec.backend field + the
 # little-endian trace format.  The bump salts ResultCache digests, so
 # entries written by earlier builds (whose specs had no backend field)
 # can never alias results produced under the new dispatch.

@@ -24,11 +24,9 @@ their statistics byte-for-byte equal.
 
 The compiled replay has one per-event body, :meth:`Core.run_span`, which
 runs events from a position until an issue-time frontier, the trace's
-end, or a reference limit.  Three callers share it: ``execute_compiled``
-(one unbounded span), the fused co-run scheduler (one span per
-arbitration stretch, bounded by the other cores' next issue times), and
-the vectorized backend's scalar catch-up (a ``-inf`` frontier, so
-exactly one event).
+end, or a reference limit.  Two callers share it: ``execute_compiled``
+(one unbounded span) and the fused co-run scheduler (one span per
+arbitration stretch, bounded by the other cores' next issue times).
 
 The issue ring's refill memo
 ----------------------------
@@ -44,9 +42,9 @@ first: all hold one value, whose candidate ``fill + (count - d) / width``
 can only fall with depth ``d`` (IEEE rounding is monotone), so the
 depth-0 term stands for all of them and only the written slots need a
 scan.  The result is the full scan's, at any issue width or latency.
-Writers of the ring outside ``run_span`` and the vectorized walker
-(the oracle loops :meth:`Core.execute` and :meth:`Core.step`) set
-``_since = window``, which sends the next batch to the full scan.
+Writers of the ring outside ``run_span`` (the oracle loops
+:meth:`Core.execute` and :meth:`Core.step`) set ``_since = window``,
+which sends the next batch to the full scan.
 """
 
 from repro.trace.compiled import K_BOUND, K_OPS, K_SETBASE, K_STORE
@@ -492,21 +490,6 @@ class Core:
             self.instructions = instructions
             self.load_stall_cycles = load_stall
         return pos
-
-    def execute_vectorized(self, trace, limit_refs=None):
-        """Replay a compiled trace with the vectorized (ring-walker) backend.
-
-        Byte-identical in every statistic to :meth:`execute_compiled`
-        (the differential suite enforces it); degrades to the fused loop
-        when the configuration falls outside the batch math's exactness
-        envelope (see :func:`repro.sim.vectorized.supports`).
-        """
-        from repro.sim import vectorized  # late: repro.sim imports us
-
-        if not vectorized.supports(self):
-            return self.execute_compiled(trace, limit_refs=limit_refs)
-        return vectorized.execute_vectorized(self, trace,
-                                             limit_refs=limit_refs)
 
     # ------------------------------------------------------------------
     # Externally-driven stepping (the multi-core replay loop)

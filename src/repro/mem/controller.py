@@ -684,8 +684,7 @@ class MemoryController:
         time and channel.  The bound is built from monotone state that a
         stretch of L1 hits never advances, so N gated calls during such
         a stretch equal one: the first reclaim removes every entry
-        completed by the bound and the rest are no-ops.  The vectorized
-        backend relies on that to apply it once per batch.
+        completed by the bound and the rest are no-ops.
         """
         mshrs = self.mshrs
         if mshrs is None:

@@ -173,11 +173,12 @@ class CoreCell:
 
         workload = get_workload(cell_spec.workload)
         scheme_spec = SCHEMES[cell_spec.scheme]
+        base = core_id * CORE_BASE_STRIDE
         space, built, program = _built_workload(
-            workload, cell_spec.scale, cacheable=True,
-            base=core_id * CORE_BASE_STRIDE)
+            workload, cell_spec.scale, cacheable=True, base=base)
         if scheme_spec.hinted:
-            result = _compile(program, scheme_spec, config, cell_spec.policy)
+            result = _compile(program, scheme_spec, config, cell_spec.policy,
+                              build_key=(workload.name, cell_spec.scale, base))
             hint_table = result.hint_table
             compile_for_trace = result
         else:

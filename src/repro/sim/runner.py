@@ -160,22 +160,21 @@ SCHEMES = {
 
 
 def resolve_backend(requested="auto"):
-    """Resolve a spec's replay-backend request to ``fused``/``vectorized``.
+    """Resolve a spec's replay-backend request to ``fused``.
 
-    A pinned spec backend passes through.  ``"auto"`` (the default on
-    every spec) is the vectorized backend — byte-identical to the fused
-    loop in every statistic, so the choice only affects speed; it runs
-    the fused loop itself on configurations outside its exactness
-    envelope.  Unknown names are errors rather than silent fallbacks.
+    Single-core compiled replay has one fast loop, the fused
+    :meth:`~repro.cpu.core.Core.run_span`.  ``"auto"`` (the default on
+    every spec) and ``"vectorized"`` (a deleted batch-replay backend
+    that gave the same bytes) stay valid spec values, because the
+    backend is part of the spec digest, and both resolve to it.
+    Unknown names are errors rather than silent fallbacks.
     """
     backend = requested or "auto"
-    if backend == "auto":
-        backend = "vectorized"
-    if backend not in ("fused", "vectorized"):
+    if backend not in BACKENDS:
         raise ValueError(
             "unknown replay backend %r (have: %s)"
             % (backend, ", ".join(BACKENDS)))
-    return backend
+    return "fused"
 
 
 def resolve_corun_backend(requested="auto"):
@@ -289,9 +288,33 @@ def _built_workload(workload, scale, cacheable, base=0):
     return entry
 
 
-def _compile(program, scheme_spec, config, policy):
-    """The hint compile a hinted scheme's run consumes."""
-    return compile_hints(
+#: Hint-compile cache beside the build cache: {(build key, l2_size,
+#: block_size, policy, variable_regions, indirect_mode): (program,
+#: CompileResult)}.  A compile is deterministic in its program and
+#: inputs, and nothing downstream writes to a ``CompileResult`` or its
+#: hint table: the trace generator, the core and the prefetchers only
+#: read them.  So :func:`replay_key`'s fingerprint compile and the run
+#: it keys share one compile.  An entry serves only the program object
+#: it was compiled from, so a rebuilt program (after the build cache is
+#: cleared) compiles afresh.
+_COMPILE_CACHE = {}
+
+
+def _compile(program, scheme_spec, config, policy, build_key=None):
+    """The hint compile a hinted scheme's run consumes.
+
+    ``build_key`` is ``program``'s :data:`_BUILD_CACHE` key; builds
+    outside the cache (reference runs, unregistered workloads) pass
+    None and compile fresh.
+    """
+    key = None
+    if build_key is not None:
+        key = (build_key, config.l2_size, config.block_size, policy,
+               scheme_spec.variable_regions, scheme_spec.indirect_mode)
+        entry = _COMPILE_CACHE.get(key)
+        if entry is not None and entry[0] is program:
+            return entry[1]
+    result = compile_hints(
         program,
         l2_size=config.l2_size,
         block_size=config.block_size,
@@ -299,6 +322,11 @@ def _compile(program, scheme_spec, config, policy):
         variable_regions=scheme_spec.variable_regions,
         indirect_mode=scheme_spec.indirect_mode,
     )
+    if key is not None:
+        if len(_COMPILE_CACHE) >= _BUILD_CACHE_MAX:
+            _COMPILE_CACHE.clear()
+        _COMPILE_CACHE[key] = (program, result)
+    return result
 
 
 def replay_key(spec):
@@ -317,7 +345,7 @@ def replay_key(spec):
     _, _, program = _built_workload(get_workload(spec.workload), spec.scale,
                                     True)
     result = _compile(program, scheme_spec, spec.machine_config(),
-                      spec.policy)
+                      spec.policy, build_key=(spec.workload, spec.scale, 0))
     return dataclasses.replace(spec, policy=result.fingerprint())
 
 
@@ -327,14 +355,16 @@ def _simulate(workload, scheme, scheme_spec, config, mode, policy,
     # Reference runs rebuild from scratch so a (hypothetical) mutation of
     # shared build state by the fast path could not escape the
     # differential comparison.
-    space, built, program = _built_workload(
-        workload, scale, cacheable and not reference)
+    shared = cacheable and not reference
+    space, built, program = _built_workload(workload, scale, shared)
 
     # Only hinted schemes consume compiler output; skipping the compiler
     # for none/stride/srp/pointer saves all its pass time on runs that
     # would discard the result anyway.
     if scheme_spec.hinted:
-        result = _compile(program, scheme_spec, config, policy)
+        result = _compile(program, scheme_spec, config, policy,
+                          build_key=(workload.name, scale, 0) if shared
+                          else None)
         hint_table = result.hint_table
         compile_for_trace = result
         hint_sig = hint_signature(policy, scheme_spec.variable_regions,

@@ -33,19 +33,14 @@ class Simulator:
         """Execute a :class:`~repro.trace.compiled.CompiledTrace`.
 
         Issues the identical machine behavior :meth:`run` would over the
-        trace's event stream.  ``backend`` picks the replay loop:
-        ``"fused"`` is the scalar columnar loop, ``"vectorized"`` batches
-        boring stretches with the pure-Python ring walker (and silently
-        degrades to the fused loop when the configuration doesn't support
-        batching — the two are byte-identical in every statistic).
+        trace's event stream, through the fused loop
+        (:meth:`~repro.cpu.core.Core.execute_compiled`).  ``backend``
+        must be ``"fused"``, the one single-core fast loop; spec-level
+        aliases resolve to it in :func:`repro.sim.runner.resolve_backend`.
         """
-        if backend == "vectorized":
-            self.core.execute_vectorized(trace, limit_refs=limit_refs)
-        elif backend == "fused":
-            self.core.execute_compiled(trace, limit_refs=limit_refs)
-        else:
+        if backend != "fused":
             raise ValueError(
-                "unknown replay backend %r (have: fused, vectorized)"
-                % (backend,))
+                "unknown replay backend %r (have: fused)" % (backend,))
+        self.core.execute_compiled(trace, limit_refs=limit_refs)
         self.hierarchy.finish(self.core.cycles)
         return SimStats(workload, scheme, self.core, self.hierarchy)

@@ -69,13 +69,13 @@ def _canonical_json(data):
 #: the paper's idealized-cache ablations).
 MODES = ("real", "perfect_l1", "perfect_l2")
 
-#: Replay-backend names a spec may carry.  ``"auto"`` defers the choice
-#: to the runner (vectorized, which runs the fused loop itself on
-#: configurations outside its exactness envelope); the other two pin
-#: it.  The backend participates in
-#: :meth:`RunSpec.to_dict` and therefore in :meth:`RunSpec.digest`, so
-#: results produced by different pinned backends can never alias one
-#: another in the persistent cache.
+#: Replay-backend names a spec may carry.  Every one runs the fused
+#: loop (:func:`repro.sim.runner.resolve_backend`): ``"vectorized"``
+#: named a batch-replay backend that has since been deleted, and stays
+#: valid so that existing specs keep their digests.  The backend
+#: participates in :meth:`RunSpec.to_dict` and therefore in
+#: :meth:`RunSpec.digest`, so cache entries written under different
+#: names never alias one another.
 BACKENDS = ("auto", "fused", "vectorized")
 
 #: Replay-backend names a *co-run* spec may carry.  The multi-core loop

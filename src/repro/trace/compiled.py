@@ -11,9 +11,8 @@ into a side table.  The representation is:
 * **loss-free** — :meth:`CompiledTrace.events` reconstructs an event
   stream equal (field by field, in order) to the source stream, which the
   trace-store correctness tests assert for every workload;
-* **replayable without objects** — the simulator's fast paths
-  (:meth:`repro.cpu.core.Core.run_span` and the vectorized backend's
-  ring walker, :mod:`repro.sim.vectorized`) iterate the plain ``array``
+* **replayable without objects** — the simulator's fast loop,
+  :meth:`repro.cpu.core.Core.run_span`, iterates the plain ``array``
   columns directly, skipping per-event object construction and
   attribute loads.
 

@@ -1,7 +1,7 @@
 """The simulator is pure Python: no replay path may reach for numpy.
 
 A child interpreter blocks numpy before anything else is imported, runs
-an ``auto`` single-core spec (the vectorized backend) and a fused co-run,
+an ``auto`` single-core spec (the fused loop) and a fused co-run,
 and reports the canonical result bytes plus every attempt to import
 numpy.  The bytes must equal the ones this process produces, and there
 must be no attempts.  numpy is blocked only in the child: a ``None``

@@ -1,8 +1,8 @@
-"""Work gate for the prefetch issue path: repository calls per fill.
+"""Work gates for the replay loop: repository calls and opcodes.
 
 Region prefetchers make many prefetch fills per demand reference (ammp
 under SRP makes ten), so the cost of one fill is the simulator's unit of
-work on those cells.  This gate replays fixed cells under
+work on those cells.  The first gate replays fixed cells under
 ``sys.setprofile`` and counts the calls into ``repro`` functions per L2
 prefetch fill.  The simulated work is deterministic, so the counts are
 exact and the gate cannot flake: a change that adds a call per fill
@@ -11,6 +11,14 @@ fails it, and a change that removes calls re-records the budget.
 Comprehension frames (``<listcomp>``, ``<genexpr>``, ...) are skipped,
 because Python 3.12 inlines comprehensions (PEP 709) and would otherwise
 count differently from 3.9 and 3.11.
+
+The demand path makes few calls: the issue ring and the L1 hit probe are
+inlined in :meth:`~repro.cpu.core.Core.run_span`, so a regression there
+adds opcodes, not calls.  The second gate replays prefetch-free cells
+under ``sys.settrace`` with ``frame.f_trace_opcodes`` set on ``repro``
+frames and counts the bytecode instructions they execute.  Opcode counts
+depend on the interpreter's compiler, so those budgets are recorded for,
+and run on, Python 3.11 only; the call budgets run everywhere.
 """
 
 import json
@@ -38,11 +46,23 @@ REFS = 2000
 #: (workload, scheme) -> (prefetch fills, budget of repro calls).  The
 #: decomposed per-candidate loop made 122,937 calls on ammp/srp (6.16 per
 #: fill) and 56,699 on mcf/grp (31.4 per fill); the one-frame prefetch
-#: drain cut them to 29,083 and 47,719, and skipping the fill hook for
-#: depth-0 candidates cut mcf/grp to the budget below.
+#: drain cut them to 29,083 and 47,719, skipping the fill hook for
+#: depth-0 candidates cut mcf/grp to 45,841, and replaying through the
+#: fused loop instead of the deleted ring walker (which called into it
+#: per event at every stretch boundary) cut both to the budgets below.
 BUDGETS = {
-    ("ammp", "srp"): (19944, 29053),
-    ("mcf", "grp"): (1803, 45841),
+    ("ammp", "srp"): (19944, 28034),
+    ("mcf", "grp"): (1803, 45570),
+}
+
+#: (workload, scheme) -> budget of opcodes executed in repro frames for
+#: the fused replay at REFS references, on Python 3.11.  The cells are
+#: ``demand-bound`` benchmark cells without prefetching: streaming
+#: (swim), L1-resident (art) and pointer-chasing (mcf).
+OPCODE_BUDGETS = {
+    ("swim", "none"): 720508,
+    ("art", "none"): 616573,
+    ("mcf", "none"): 1238255,
 }
 
 #: The ammp+art co-run under GRP (a cell of the benchmark's corun
@@ -124,6 +144,48 @@ def test_calls_per_fill_within_budget(cell):
     assert json.dumps(stats.to_dict(), sort_keys=True) \
         == json.dumps(reference.to_dict(), sort_keys=True)
 
+
+def counted_opcodes(run):
+    """Call ``run()``; return its result and the opcodes repro frames ran."""
+    opcodes = [0]
+
+    def count(frame, event, arg):
+        if event == "opcode":
+            opcodes[0] += 1
+        return count
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            return count
+        return None
+
+    sys.settrace(trace)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, opcodes[0]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="opcode budgets are recorded on Python 3.11")
+@pytest.mark.parametrize("cell", sorted(OPCODE_BUDGETS), ids="/".join)
+def test_demand_opcodes_within_budget(cell):
+    workload, scheme = cell
+    budget = OPCODE_BUDGETS[cell]
+    spec = RunSpec.create(workload, scheme, limit_refs=REFS)
+    sim, trace = prepare(spec)
+    backend = resolve_backend(spec.backend)
+    stats, opcodes = counted_opcodes(lambda: sim.run_compiled(
+        trace, workload=workload, scheme=scheme, backend=backend))
+    assert opcodes <= budget, (
+        "%s/%s: %d opcodes in repro frames for %d refs, budget %d"
+        % (workload, scheme, opcodes, REFS, budget))
+    reference = execute(spec, reference=True)
+    assert json.dumps(stats.to_dict(), sort_keys=True) \
+        == json.dumps(reference.to_dict(), sort_keys=True)
 
 
 def corun_results(simulator):

@@ -4,7 +4,9 @@ A run reads the compiler only through its ``CompileResult``, so
 ``run_batch`` keys specs by ``replay_key`` — the spec with its policy
 replaced by the compile's fingerprint — and simulates each key once.
 These tests pin the sharing (which specs merge, which do not, serial,
-``jobs=2`` and traced batches) and the fingerprint's field coverage.
+``jobs=2`` and traced batches), the fingerprint's field coverage, and
+the compile memo that lets a spec's key and its replay share one
+compile.
 """
 
 import json
@@ -111,6 +113,43 @@ class TestSharing:
         for spec in cells:
             assert os.path.exists(batch.trace_path_for(str(tmp_path), spec))
         assert len({dump(stats) for stats in results}) == 1
+
+
+class TestCompileMemo:
+    """``replay_key`` and the replay it keys compile a spec once."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Record the policy of each hint compile, from an empty memo."""
+        seen = []
+        real = runner.compile_hints
+
+        def counting(program, **kwargs):
+            seen.append(kwargs["policy"])
+            return real(program, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_hints", counting)
+        monkeypatch.setattr(runner, "_COMPILE_CACHE", {})
+        return seen
+
+    def test_key_and_replay_share_one_compile(self, compiles):
+        spec = RunSpec.create("mcf", "grp", limit_refs=REFS)
+        key = replay_key(spec)
+        fast = execute(spec)
+        assert compiles == ["default"]
+        # The replay left the shared compile as it found it.
+        assert replay_key(spec) == key
+        assert compiles == ["default"]
+        # Reference runs compile their own fresh build.
+        assert dump(execute(spec, reference=True)) == dump(fast)
+        assert compiles == ["default", "default"]
+
+    def test_rebuilt_program_compiles_afresh(self, compiles, monkeypatch):
+        spec = RunSpec.create("mcf", "grp", limit_refs=REFS)
+        fast = dump(execute(spec))
+        monkeypatch.setattr(runner, "_BUILD_CACHE", {})
+        assert dump(execute(spec)) == fast
+        assert compiles == ["default", "default"]
 
 
 class TestFingerprint:

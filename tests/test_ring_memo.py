@@ -1,18 +1,17 @@
 """The issue ring's refill memo: ``Core._fill`` and ``Core._since``.
 
-``Core.run_span`` and the vectorized walker keep, beside the ring, the
-value of the last full-window refill and the number of ring writes
-since it, and the closed form for a large ALU batch scans only the
-slots written since (DESIGN.md §3h).  The invariant that makes this
-exact: while ``_since < window`` the head sits at slot ``_since`` and
-every slot from there on still holds ``_fill``.
+``Core.run_span`` keeps, beside the ring, the value of the last
+full-window refill and the number of ring writes since it, and the
+closed form for a large ALU batch scans only the slots written since
+(DESIGN.md §3h).  The invariant that makes this exact: while
+``_since < window`` the head sits at slot ``_since`` and every slot
+from there on still holds ``_fill``.
 
-These tests check the invariant in place, before and after every span,
-every vectorized replay and every co-run stretch, and compare the
-results against the oracle loops, which do not use the memo: on all
-registered workloads, on generated programs, and on a configuration
-outside the vectorized backend's envelope (an issue width of 3 and a
-non-integer L1 latency).
+These tests check the invariant in place, before and after every span
+and every co-run stretch, and compare the results against the oracle
+loops, which do not use the memo: on all registered workloads, on
+generated programs, and on a configuration whose timestamps are not
+dyadic (an issue width of 3 and a non-integer L1 latency).
 """
 
 import json
@@ -21,7 +20,6 @@ import pytest
 
 from repro.cpu.core import Core
 from repro.prefetch.srp import SRPPrefetcher
-from repro.sim import vectorized
 from repro.sim.config import MachineConfig
 from repro.sim.multicore import execute_corun
 from repro.sim.runner import execute
@@ -47,7 +45,7 @@ def assert_ring_memo(core):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check the memo around every span, vectorized replay and stretch.
+    """Check the memo around every span (co-run stretches included).
 
     Returns counters: how many checks ran, and in how many the memo held
     (so a test can show it did not check a memo that never held).
@@ -66,16 +64,7 @@ def checked(monkeypatch):
         check(self)
         return pos
 
-    walk = vectorized.execute_vectorized
-
-    def execute_vectorized(core, trace, limit_refs=None):
-        check(core)
-        cycles = walk(core, trace, limit_refs=limit_refs)
-        check(core)
-        return cycles
-
     monkeypatch.setattr(Core, "run_span", run_span)
-    monkeypatch.setattr(vectorized, "execute_vectorized", execute_vectorized)
     return counts
 
 
@@ -87,10 +76,8 @@ def dump(result):
 def test_workloads_keep_the_memo(workload, checked):
     reference = dump(execute(RunSpec.create(workload, "grp", limit_refs=REFS),
                              reference=True))
-    for backend in ("fused", "vectorized"):
-        spec = RunSpec.create(workload, "grp", limit_refs=REFS,
-                              backend=backend)
-        assert dump(execute(spec)) == reference, backend
+    spec = RunSpec.create(workload, "grp", limit_refs=REFS)
+    assert dump(execute(spec)) == reference
     assert checked["held"] > 0
 
 
@@ -157,4 +144,3 @@ def test_generated_programs_keep_the_memo(seed, config, checked):
 
     want = run(reference=True)
     assert run(backend="fused") == want
-    assert run(backend="vectorized") == want

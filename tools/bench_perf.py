@@ -1,8 +1,7 @@
-"""Performance benchmark harness: sim-phase refs/sec per scheme and backend.
+"""Performance benchmark harness: sim-phase refs/sec per scheme.
 
-Measures the replay backends (the fused loop and the vectorized
-batch-replay backend) against the ``reference=True`` slow path on a
-small scheme x workload matrix, plus the multi-core co-run backends
+Measures the fused replay loop against the ``reference=True`` slow path
+on a small scheme x workload matrix, plus the multi-core co-run backends
 (fused skip-ahead vs the stepped reference loop) on a 2-core pair and
 the 18-core rush-hour mix, and records the results in
 ``BENCH_perf.json`` at the repository root.
@@ -13,8 +12,8 @@ outside the timer, and each timed run replays the same prebuilt
 compiled trace through a fresh simulator.  (Version 1 timed the whole
 pipeline cold, which buried backend differences under trace-generation
 cost and let a large replay regression hide inside the build noise.)
-Each case row carries a ``backend`` column, so the fused and vectorized
-paths are gated independently.
+Each case row carries a ``backend`` column: ``fused`` for single-core
+rows, the co-run backend for co-run rows.
 
 Per case the file records CPU seconds, refs/sec, the speedup over the
 reference path, and an absolute ``refs_per_s_floor`` (a quarter of the
@@ -30,8 +29,7 @@ Modes::
     PYTHONPATH=src python tools/bench_perf.py --check    # schema validation only, no measurement
 
 ``--smoke`` and ``--check`` never write the file; both exit nonzero on a
-schema violation, ``--smoke`` also on a gate failure.  Every mode
-measures both replay backends.
+schema violation, ``--smoke`` also on a gate failure.
 
 The full mode additionally re-measures the end-to-end table1 sweep
 (``python -m repro.experiments table1 --refs 3000 --no-cache --jobs 1``)
@@ -167,13 +165,13 @@ def _fresh_sim(prep, reference=False):
                      hint_table=prep["hint_table"], reference=reference)
 
 
-def _time_backend(prep, backend, repeats):
+def _time_fused(prep, repeats):
     """Best-of-``repeats`` CPU seconds replaying the prebuilt trace."""
     best = float("inf")
     for _ in range(repeats):
         sim = _fresh_sim(prep)
         start = time.process_time()
-        sim.run_compiled(prep["trace"], backend=backend)
+        sim.run_compiled(prep["trace"])
         best = min(best, time.process_time() - start)
     return best
 
@@ -195,31 +193,24 @@ def _time_reference(prep, refs, repeats):
     return best
 
 
-#: Replay backends every case row is measured on, fused first.
-BACKENDS = ("fused", "vectorized")
-
-
 def measure_case(workload, scheme, refs, repeats):
-    """One case row per backend, sharing one build and one reference run."""
+    """The fused loop's case row, with one shared build."""
     prep = _prepare(workload, scheme, refs)
     slow = _time_reference(prep, refs, repeats)
-    cases = []
-    for backend in BACKENDS:
-        fast = _time_backend(prep, backend, repeats)
-        rate = refs / fast
-        cases.append({
-            "workload": workload,
-            "scheme": scheme,
-            "backend": backend,
-            "refs": refs,
-            "sim": {"cpu_s": round(fast, 4),
-                    "refs_per_s": round(rate, 1)},
-            "reference": {"cpu_s": round(slow, 4),
-                          "refs_per_s": round(refs / slow, 1)},
-            "speedup_vs_reference": round(slow / fast, 3),
-            "refs_per_s_floor": int(rate * FLOOR_FRACTION),
-        })
-    return cases
+    fast = _time_fused(prep, repeats)
+    rate = refs / fast
+    return {
+        "workload": workload,
+        "scheme": scheme,
+        "backend": "fused",
+        "refs": refs,
+        "sim": {"cpu_s": round(fast, 4),
+                "refs_per_s": round(rate, 1)},
+        "reference": {"cpu_s": round(slow, 4),
+                      "refs_per_s": round(refs / slow, 1)},
+        "speedup_vs_reference": round(slow / fast, 3),
+        "refs_per_s_floor": int(rate * FLOOR_FRACTION),
+    }
 
 
 def measure_corun_case(workloads, scheme, refs, repeats):
@@ -327,7 +318,7 @@ def validate(doc):
             if backend is not None and backend not in corun_backends:
                 errors.append("%s.backend unknown for co-run: %r"
                               % (where, backend))
-        elif backend is not None and backend not in BACKENDS:
+        elif backend is not None and backend != "fused":
             errors.append("%s.backend unknown: %r" % (where, backend))
         for side in ("sim", "reference"):
             timing = case.get(side)
@@ -439,14 +430,13 @@ def main(argv=None):
     repeats = 2 if args.smoke else args.repeats
     cases = []
     for workload, scheme in matrix:
-        for case in measure_case(workload, scheme, refs, repeats):
-            print("%-6s %-13s %-10s sim %8.0f refs/s   reference %7.0f"
-                  " refs/s   speedup %.2fx"
-                  % (workload, scheme, case["backend"],
-                     case["sim"]["refs_per_s"],
-                     case["reference"]["refs_per_s"],
-                     case["speedup_vs_reference"]))
-            cases.append(case)
+        case = measure_case(workload, scheme, refs, repeats)
+        print("%-6s %-13s sim %8.0f refs/s   reference %7.0f"
+              " refs/s   speedup %.2fx"
+              % (workload, scheme, case["sim"]["refs_per_s"],
+                 case["reference"]["refs_per_s"],
+                 case["speedup_vs_reference"]))
+        cases.append(case)
     for workloads, scheme in (CORUN_SMOKE if args.smoke else CORUN_MATRIX):
         for case in measure_corun_case(workloads, scheme, refs, repeats):
             print("%-10s %-13s co-run/%-8s %8.0f refs/s   (%d cores, "
