@@ -12,8 +12,9 @@ Environment knobs:
 
 ``REPRO_BENCH_REFS``
     Memory references simulated per run (default 40000).  Larger values
-    sharpen the numbers at proportional cost; the EXPERIMENTS.md results
-    were recorded at 60000.
+    sharpen the numbers at proportional cost; ``benchmarks/results/``
+    and the EXPERIMENTS.md results were recorded at the default 40000,
+    with ``REPRO_BENCH_NO_CACHE`` set.
 ``REPRO_BENCH_JOBS``
     Parallel simulation processes (default 1; 0 = all cores).
 ``REPRO_CACHE_DIR``

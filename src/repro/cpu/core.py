@@ -248,10 +248,12 @@ class Core:
 
         Built once per (core, trace) and passed to every span: the
         trace's columns, hints resolved per static reference id, the
-        hierarchy's bound methods, and the L1 internals the inline probe
-        touches.  ``general`` selects the out-of-line ``access`` path for
-        configurations whose access takes per-reference detours:
-        reference runs, TLB-enabled configs, and trace-sink runs.
+        hierarchy's bound methods, its L1-miss handler
+        (:attr:`~repro.mem.hierarchy.Hierarchy.demand_miss`), and
+        the L1 internals the inline probe touches.  ``general`` selects
+        the out-of-line ``access`` path for configurations whose access
+        takes per-reference detours: reference runs, TLB-enabled
+        configs, and trace-sink runs.
         """
         hierarchy = self.hierarchy
         l1 = hierarchy.l1
@@ -268,9 +270,9 @@ class Core:
             len(trace.kinds), general, hierarchy.access,
             hierarchy.directive, hierarchy._perfect_l1, l1.latency,
             l1._index, l1._sets, l1._block_shift, l1._set_mask, l1.stats,
-            l1._shadow, hierarchy._block_mask, hierarchy.stats, metrics,
+            hierarchy._block_mask, hierarchy.stats, metrics,
             metrics.series, hierarchy.controller.issue_prefetches,
-            hierarchy._has_candidates, hierarchy.access_after_l1_miss,
+            hierarchy._has_candidates, hierarchy.demand_miss,
             adapt.note_access if adapt is not None else None,
         )
 
@@ -288,13 +290,22 @@ class Core:
         issue-ring arithmetic and the hierarchy's L1 probe are inlined,
         each replicating the out-of-line code operation for operation
         (the differential tests compare the resulting statistics byte
-        for byte against :meth:`execute`).
+        for byte against :meth:`execute`).  An L1 miss goes to the
+        handler :meth:`bind_compiled` bound.
+
+        The inlined paths count loads, stores and L1 misses in span
+        locals and add them, with the L1 accesses and hits they imply,
+        to the hierarchy's and the L1's stats when the span ends.
+        Nothing that runs inside a span reads those counters: not the
+        miss handler or the engine hooks it calls, not the metrics tick,
+        not the adaptive epoch check.  The L1 is demand-only (its one
+        fill site is the miss path), so its lines are always referenced
+        and its shadow set is empty; the hit path tests neither.
         """
         (kinds, f0, f1, f2, hints, ref_names, n_events, general, access,
          directive, perfect_l1, l1_latency, l1_index, l1_sets, l1_shift,
-         l1_set_mask, l1_stats, l1_shadow, block_mask, hstats, metrics,
-         series, issue_prefetches, has_candidates, miss_path,
-         note_access) = ctx
+         l1_set_mask, l1_stats, block_mask, hstats, metrics, series,
+         issue_prefetches, has_candidates, miss_path, note_access) = ctx
         window = self.window
         inv = self.inv_width
         ring = self._ring
@@ -305,6 +316,7 @@ class Core:
         instructions = self.instructions
         load_stall = self.load_stall_cycles
         refs = 0
+        n_loads = n_stores = n_misses = 0
         e = ring[head]
         # max(clock, ring[head]): first argument wins ties.
         now = clock if clock >= e else e
@@ -321,16 +333,16 @@ class Core:
                         )
                     elif perfect_l1:
                         if is_store:
-                            hstats.stores += 1
+                            n_stores += 1
                         else:
-                            hstats.loads += 1
+                            n_loads += 1
                         ready = now + l1_latency
                     else:
                         # Hierarchy.access, inlined up to the L1 probe.
                         if is_store:
-                            hstats.stores += 1
+                            n_stores += 1
                         else:
-                            hstats.loads += 1
+                            n_loads += 1
                         if has_candidates is not None and has_candidates():
                             issue_prefetches(now)
                         if now >= series._next:
@@ -339,25 +351,16 @@ class Core:
                         line = l1_index.get(block)
                         if line is not None:
                             # Cache.access_block hit path, inlined.
-                            l1_stats.demand_accesses += 1
                             lines = l1_sets[
                                 (block >> l1_shift) & l1_set_mask]
                             if lines[-1] is not line:
                                 lines.remove(line)
                                 lines.append(line)
-                            if not line.referenced:
-                                line.referenced = True
-                                l1_stats.useful_prefetches += 1
                             if is_store:
                                 line.dirty = True
-                            l1_stats.demand_hits += 1
                             ready = now + l1_latency
                         else:
-                            l1_stats.demand_accesses += 1
-                            l1_stats.demand_misses += 1
-                            if l1_shadow and \
-                                    l1_shadow.pop(block, None) is not None:
-                                l1_stats.pollution_misses += 1
+                            n_misses += 1
                             ridx = f0[pos]
                             ready = miss_path(
                                 block, f1[pos], now, is_store,
@@ -489,6 +492,15 @@ class Core:
             self._since = since
             self.instructions = instructions
             self.load_stall_cycles = load_stall
+            hstats.loads += n_loads
+            hstats.stores += n_stores
+            if not perfect_l1:
+                # Every counted reference probed the L1 (the general
+                # path counts its own in Hierarchy.access).
+                n_refs = n_loads + n_stores
+                l1_stats.demand_accesses += n_refs
+                l1_stats.demand_hits += n_refs - n_misses
+                l1_stats.demand_misses += n_misses
         return pos
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ prefetch hides only part of the miss (these show up in
 
 import heapq
 
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, CacheLine
 from repro.mem.controller import MemoryController
 from repro.mem.dram import DRAMSystem
 from repro.mem.mshr import MSHRFile
@@ -178,6 +178,18 @@ class Hierarchy:
         if not reference and trace_sink is None and self._pf_fills_l2 \
                 and isinstance(queue, (RegionQueue, PendingQueue)):
             self.controller.bind_drain(self, queue)
+        #: The L1-miss handler :meth:`Core.run_span` calls: the one-frame
+        #: handler (:meth:`_build_demand_miss`), or
+        #: :meth:`access_after_l1_miss`, the decomposed chain and its
+        #: oracle.  Reference runs must take the oracle; TLB and
+        #: trace-sink runs replay through :meth:`access` anyway; the
+        #: frame has no ``perfect_l2`` branch and no per-core attribution
+        #: for a shared co-run L2, MSHR file and DRAM.
+        if reference or self.tlb is not None or trace_sink is not None \
+                or self._perfect_l2 or shared is not None:
+            self.demand_miss = self.access_after_l1_miss
+        else:
+            self.demand_miss = self._build_demand_miss()
 
     # ------------------------------------------------------------------
     # Prefetch fill path (controller callback)
@@ -254,8 +266,11 @@ class Hierarchy:
     def access_after_l1_miss(self, block, addr, now, is_store, ref_id, hint):
         """The L2-and-below half of :meth:`access`.
 
-        Split out so :meth:`Core.run_span`'s fused loop, which inlines
-        the L1 probe, can fall into the identical miss handling.
+        The decomposed miss chain: L2 probe, engine hooks, MSHR file,
+        DRAM and both fills, each in its own method.  :meth:`access`
+        runs it, and :meth:`Core.run_span` falls into it wherever the
+        hierarchy did not build the one-frame handler
+        (:attr:`demand_miss`).  It is that handler's oracle.
         """
         # L1 miss: the L2 lookup starts after the L1 probe.
         t = now + self.l1.latency
@@ -342,6 +357,292 @@ class Hierarchy:
         if self.prefetcher is not None:
             self.prefetcher.on_demand_fill(block, ref_id, hint, ready)
         return ready
+
+    # ------------------------------------------------------------------
+    # The one-frame demand miss
+    # ------------------------------------------------------------------
+    def _build_demand_miss(self):
+        """Build :meth:`access_after_l1_miss` as one closure.
+
+        The handler runs the L2 probe, the engine hooks, the MSHR file,
+        the DRAM transfer and both fills inline, operation for operation
+        as the decomposed chain does them, with the same arguments and
+        return value.  It relies on what a private single-core hierarchy
+        without a trace sink guarantees: no cache observer, no per-core
+        stats, every line owned by core 0.  It also relies on three
+        facts of the miss path:
+
+        * the L1 is demand-only: its one fill site is this miss path, so
+          every L1 line is unprefetched and referenced, and its shadow
+          set stays empty;
+        * the block just missed both the L1 and the L2, and no engine
+          hook fills a cache (they queue candidates), so both fills
+          install a new line, and the L2's shadow entry for the block
+          was already dropped by the probe;
+        * the prefetch drain is not running, so the MSHR file's
+          ``_min_ready`` is current.
+
+        An evicted line's object is reused for the new block.  Engine
+        hooks that a scheme inherits as base no-ops are skipped.
+        """
+        l1 = self.l1
+        l2 = self.l2
+        mshrs = self.l2_mshrs
+        dram = self.dram
+        dcfg = dram.config
+        controller = self.controller
+        prefetcher = self.prefetcher
+        hstats = self.stats
+        metrics = self.metrics
+        l1_latency = l1.latency
+        l1_sets = l1._sets
+        l1_index = l1._index
+        l1_shift = l1._block_shift
+        l1_set_mask = l1._set_mask
+        l1_assoc = l1.assoc
+        l1stats = l1.stats
+        l2_latency = l2.latency
+        l2_sets = l2._sets
+        l2_index = l2._index
+        l2_shadow = l2._shadow
+        l2_shift = l2._block_shift
+        l2_set_mask = l2._set_mask
+        l2_assoc = l2.assoc
+        l2stats = l2.stats
+        l2_fill = l2.fill
+        inflight = mshrs._inflight
+        heap = mshrs._heap
+        n_entries = mshrs.num_entries
+        dram_access = dram.access
+        channel_free = dram._channel_free
+        open_rows = dram._open_rows
+        busy_cycles = dram.channel_busy_cycles
+        d_shift = dram._block_shift
+        n_channels = dram._channels
+        n_banks = dram._banks
+        row_span = dram._channels * dram._blocks_per_row
+        row_hit_latency = dcfg.row_hit_latency
+        row_miss_latency = dcfg.row_miss_latency
+        transfer_cycles = dcfg.transfer_cycles
+        dstats = dram.stats
+        prefetch_ready = self._prefetch_ready
+        on_l2_access = _engine_hook(prefetcher, "on_l2_access")
+        on_l2_miss = _engine_hook(prefetcher, "on_l2_miss")
+        probe = _engine_hook(prefetcher, "probe")
+        on_demand_fill = _engine_hook(prefetcher, "on_demand_fill")
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        inf = float("inf")
+
+        def demand_miss(block, addr, now, is_store, ref_id, hint):
+            t = now + l1_latency
+            # -- The L2 probe: Cache.access_block, inlined.
+            l2stats.demand_accesses += 1
+            line = l2_index.get(block)
+            if line is not None:
+                lines = l2_sets[(block >> l2_shift) & l2_set_mask]
+                if lines[-1] is not line:
+                    lines.remove(line)
+                    lines.append(line)  # promote to MRU
+                first_use = not line.referenced
+                if first_use:
+                    line.referenced = True
+                    l2stats.useful_prefetches += 1
+                if is_store:
+                    line.dirty = True
+                l2stats.demand_hits += 1
+                if on_l2_access is not None:
+                    on_l2_access(block, addr, ref_id, hint, t, True)
+                completion = t + l2_latency
+                # A still-in-flight prefetch makes the hit late; the
+                # first touch of a prefetched line is classified
+                # (MetricsCollector.on_prefetch_first_use, sink-free).
+                ready = prefetch_ready.pop(block, None) \
+                    if prefetch_ready else None
+                if ready is not None and ready > completion:
+                    hstats.late_prefetch_hits += 1
+                    completion = ready
+                    if first_use:
+                        metrics.late_prefetch_uses += 1
+                elif first_use:
+                    metrics.timely_prefetch_uses += 1
+            else:
+                l2stats.demand_misses += 1
+                if l2_shadow and l2_shadow.pop(block, None) is not None:
+                    l2stats.pollution_misses += 1
+                if on_l2_access is not None:
+                    on_l2_access(block, addr, ref_id, hint, t, False)
+                # -- _l2_miss.
+                if on_l2_miss is not None:
+                    on_l2_miss(block, addr, ref_id, hint, t)
+                probe_ready = probe(block, t) if probe is not None else None
+                if probe_ready is not None:
+                    # A stream buffer holds the block (rare: stride
+                    # schemes only), so the fill stays out of line.
+                    completion = t + l2_latency
+                    if probe_ready > completion:
+                        completion = probe_ready
+                    writeback = l2_fill(block, False, is_store)
+                    if writeback is not None:
+                        dram_access(writeback, completion, "writeback")
+                    if block == controller._held_block:
+                        controller._blocked_until = -1.0
+                else:
+                    # MSHRFile._reclaim(t), inlined.
+                    min_ready = mshrs._min_ready
+                    if t >= min_ready:
+                        while heap and heap[0][0] <= t:
+                            r, b = heappop(heap)
+                            if inflight.get(b) == r:
+                                del inflight[b]
+                        min_ready = mshrs._min_ready = \
+                            heap[0][0] if heap else inf
+                    merged = inflight.get(block)
+                    if merged is not None:
+                        # Merge into the outstanding fill.
+                        mshrs.merges += 1
+                        hstats.mshr_merge_waits += 1
+                        completion = t + l2_latency
+                        if merged >= completion:
+                            completion = merged
+                    else:
+                        if len(inflight) < n_entries:
+                            start = t
+                        else:
+                            # Stall until the earliest fill completes
+                            # (MSHRFile.earliest_ready, inlined).
+                            mshrs.stalls += 1
+                            r, b = heap[0]
+                            while inflight.get(b) != r:
+                                heappop(heap)
+                                r, b = heap[0]
+                            start = r if r > t else t
+                        # DRAMSystem.access(block, start, "demand"),
+                        # inlined (max() tie direction included).
+                        nblk = block >> d_shift
+                        ch = nblk % n_channels
+                        per = nblk // row_span
+                        bank = per % n_banks
+                        row = per // n_banks
+                        s = channel_free[ch]
+                        if start >= s:
+                            s = start
+                        bank_rows = open_rows[ch]
+                        if bank_rows[bank] == row:
+                            latency = row_hit_latency
+                            dstats.row_hits += 1
+                        else:
+                            latency = row_miss_latency
+                            dstats.row_misses += 1
+                            bank_rows[bank] = row
+                        channel_free[ch] = s + transfer_cycles
+                        busy_cycles[ch] += transfer_cycles
+                        dstats.demand_blocks += 1
+                        ready = s + latency
+                        if ready > controller.demand_busy_until:
+                            controller.demand_busy_until = ready
+                        # MSHRFile.allocate(block, ready, start), inlined.
+                        if start >= min_ready:
+                            while heap and heap[0][0] <= start:
+                                r, b = heappop(heap)
+                                if inflight.get(b) == r:
+                                    del inflight[b]
+                            min_ready = heap[0][0] if heap else inf
+                        if len(inflight) >= n_entries:
+                            raise RuntimeError(
+                                "MSHR overflow: allocate without a free "
+                                "entry")
+                        inflight[block] = ready
+                        heappush(heap, (ready, block))
+                        if ready < min_ready:
+                            min_ready = ready
+                        mshrs._min_ready = min_ready
+                        mshrs.allocations += 1
+                        # The L2 demand fill: Cache.fill, inlined, with
+                        # its dirty victim's writeback (at `ready`).
+                        lines = l2_sets[(block >> l2_shift) & l2_set_mask]
+                        if len(lines) >= l2_assoc:
+                            line = lines.pop(0)  # LRU
+                            del l2_index[line.block]
+                            if line.prefetched:
+                                if not line.referenced:
+                                    l2stats.useless_evicted_prefetches += 1
+                                    line.referenced = True
+                                line.prefetched = False
+                            if line.dirty:
+                                l2stats.writebacks += 1
+                                dram_access(line.block, ready, "writeback")
+                            line.block = block
+                            line.dirty = is_store
+                        else:
+                            line = CacheLine(block)
+                            if is_store:
+                                line.dirty = True
+                        lines.append(line)  # MRU
+                        l2_index[block] = line
+                        if block == controller._held_block:
+                            # A demand fetch beat the held prefetch
+                            # candidate to its own block.
+                            controller._blocked_until = -1.0
+                        if prefetch_ready:
+                            prefetch_ready.pop(block, None)
+                        if on_demand_fill is not None:
+                            on_demand_fill(block, ref_id, hint, ready)
+                        completion = ready
+            # -- The L1 fill: Cache.fill, inlined.
+            lines = l1_sets[(block >> l1_shift) & l1_set_mask]
+            if len(lines) < l1_assoc:
+                line = CacheLine(block)
+                if is_store:
+                    line.dirty = True
+                lines.append(line)
+                l1_index[block] = line
+                return completion
+            line = lines.pop(0)  # LRU
+            victim = line.block
+            del l1_index[victim]
+            dirty = line.dirty
+            line.block = block
+            line.dirty = is_store
+            lines.append(line)
+            l1_index[block] = line
+            if not dirty:
+                return completion
+            # The dirty L1 victim merges into the L2 (Cache.fill of a
+            # clean demand line, inlined; its own writeback is dropped,
+            # as the decomposed chain drops it).
+            l1stats.writebacks += 1
+            line = l2_index.get(victim)
+            lines = l2_sets[(victim >> l2_shift) & l2_set_mask]
+            if line is not None:
+                if lines[-1] is not line:
+                    lines.remove(line)
+                    lines.append(line)
+            else:
+                if len(lines) >= l2_assoc:
+                    line = lines.pop(0)
+                    del l2_index[line.block]
+                    if line.prefetched:
+                        if not line.referenced:
+                            l2stats.useless_evicted_prefetches += 1
+                            line.referenced = True
+                        line.prefetched = False
+                    if line.dirty:
+                        l2stats.writebacks += 1
+                        line.dirty = False
+                    line.block = victim
+                else:
+                    line = CacheLine(victim)
+                if l2_shadow:
+                    l2_shadow.pop(victim, None)
+                lines.append(line)
+                l2_index[victim] = line
+            if victim == controller._held_block:
+                # The held prefetch candidate just became L2-resident.
+                controller._blocked_until = -1.0
+            return completion
+
+        return demand_miss
 
     # ------------------------------------------------------------------
     def directive(self, event, now):
