@@ -248,12 +248,13 @@ class Core:
 
         Built once per (core, trace) and passed to every span: the
         trace's columns, hints resolved per static reference id, the
-        hierarchy's bound methods, its L1-miss handler
-        (:attr:`~repro.mem.hierarchy.Hierarchy.demand_miss`), and
-        the L1 internals the inline probe touches.  ``general`` selects
-        the out-of-line ``access`` path for configurations whose access
-        takes per-reference detours: reference runs, TLB-enabled
-        configs, and trace-sink runs.
+        hierarchy's bound methods, its memory controller, its L1-miss
+        handler (:attr:`~repro.mem.hierarchy.Hierarchy.demand_miss`: the
+        one-frame handler for single-core runs and fused co-run cores
+        alike), and the L1 internals the inline probe touches.
+        ``general`` selects the out-of-line ``access`` path for
+        configurations whose access takes per-reference detours:
+        reference runs, TLB-enabled configs, and trace-sink runs.
         """
         hierarchy = self.hierarchy
         l1 = hierarchy.l1
@@ -271,7 +272,7 @@ class Core:
             hierarchy.directive, hierarchy._perfect_l1, l1.latency,
             l1._index, l1._sets, l1._block_shift, l1._set_mask, l1.stats,
             hierarchy._block_mask, hierarchy.stats, metrics,
-            metrics.series, hierarchy.controller.issue_prefetches,
+            metrics.series, hierarchy.controller,
             hierarchy._has_candidates, hierarchy.demand_miss,
             adapt.note_access if adapt is not None else None,
         )
@@ -293,19 +294,28 @@ class Core:
         for byte against :meth:`execute`).  An L1 miss goes to the
         handler :meth:`bind_compiled` bound.
 
+        The prefetch catch-up tests the controller's blocked-issue gate
+        (``now <= _blocked_until``) here: while the held candidate
+        cannot issue, ``issue_prefetches`` would only run
+        ``MemoryController.gated_reclaim``, so the span runs that MSHR
+        reclaim inline and makes no call.  ``has_candidates()`` stays
+        the first test: with the queue empty no ``issue_prefetches``
+        call is made, so no reclaim may run, gate armed or not.
+
         The inlined paths count loads, stores and L1 misses in span
         locals and add them, with the L1 accesses and hits they imply,
-        to the hierarchy's and the L1's stats when the span ends.
-        Nothing that runs inside a span reads those counters: not the
-        miss handler or the engine hooks it calls, not the metrics tick,
-        not the adaptive epoch check.  The L1 is demand-only (its one
-        fill site is the miss path), so its lines are always referenced
-        and its shadow set is empty; the hit path tests neither.
+        to the hierarchy's and the L1's stats when the span ends, unless
+        it counted no reference.  Nothing that runs inside a span reads
+        those counters: not the miss handler or the engine hooks it
+        calls, not the metrics tick, not the adaptive epoch check.  The
+        L1 is demand-only (its one fill site is the miss path), so its
+        lines are always referenced and its shadow set is empty; the
+        hit path tests neither.
         """
         (kinds, f0, f1, f2, hints, ref_names, n_events, general, access,
          directive, perfect_l1, l1_latency, l1_index, l1_sets, l1_shift,
          l1_set_mask, l1_stats, block_mask, hstats, metrics, series,
-         issue_prefetches, has_candidates, miss_path, note_access) = ctx
+         controller, has_candidates, miss_path, note_access) = ctx
         window = self.window
         inv = self.inv_width
         ring = self._ring
@@ -344,7 +354,24 @@ class Core:
                         else:
                             n_loads += 1
                         if has_candidates is not None and has_candidates():
-                            issue_prefetches(now)
+                            if now > controller._blocked_until:
+                                controller.issue_prefetches(now)
+                            else:
+                                # The blocked-issue gate is armed: the
+                                # held candidate cannot issue yet.  Only
+                                # MemoryController.gated_reclaim's MSHR
+                                # reclaim would run; it is inlined.
+                                earliest = controller._held_queued_at
+                                free = controller.dram._channel_free[
+                                    controller._held_ch]
+                                if free > earliest:
+                                    earliest = free
+                                free = controller.demand_busy_until
+                                if free > earliest:
+                                    earliest = free
+                                mshrs = controller.mshrs
+                                if earliest >= mshrs._min_ready:
+                                    mshrs._reclaim(earliest)
                         if now >= series._next:
                             metrics.tick(now)
                         block = f1[pos] & block_mask
@@ -492,15 +519,18 @@ class Core:
             self._since = since
             self.instructions = instructions
             self.load_stall_cycles = load_stall
-            hstats.loads += n_loads
-            hstats.stores += n_stores
-            if not perfect_l1:
-                # Every counted reference probed the L1 (the general
-                # path counts its own in Hierarchy.access).
-                n_refs = n_loads + n_stores
-                l1_stats.demand_accesses += n_refs
-                l1_stats.demand_hits += n_refs - n_misses
-                l1_stats.demand_misses += n_misses
+            n_refs = n_loads + n_stores
+            if n_refs:
+                # Spans without a counted reference (co-run stretches of
+                # ALU work, general-path spans) have nothing to add.
+                hstats.loads += n_loads
+                hstats.stores += n_stores
+                if not perfect_l1:
+                    # Every counted reference probed the L1 (the general
+                    # path counts its own in Hierarchy.access).
+                    l1_stats.demand_accesses += n_refs
+                    l1_stats.demand_hits += n_refs - n_misses
+                    l1_stats.demand_misses += n_misses
         return pos
 
     # ------------------------------------------------------------------

@@ -44,8 +44,9 @@ class CacheLine:
     """One resident block: tag plus the bookkeeping bits the policy needs.
 
     ``owner`` is the id of the core whose fill installed the line; it is
-    always 0 in a single-core hierarchy and only read when a shared cache
-    has per-core attribution enabled (see :meth:`Cache.enable_core_stats`).
+    always 0 in a single-core hierarchy.  An eviction compares it with
+    the evicting core to find cross-core evictions in a shared cache
+    (see :meth:`Cache.enable_core_stats`).
     """
 
     __slots__ = ("block", "dirty", "prefetched", "referenced", "owner")
@@ -183,18 +184,16 @@ class Cache:
         #: per event.
         self.observer = None
         #: Per-core attribution (multi-core shared caches only): a list
-        #: of :class:`CacheStats`, one per core, or None (the default —
-        #: private caches pay one load + branch per event).  The stepping
-        #: loop sets ``active_core`` before each core's event; every
-        #: shared-counter increment is mirrored into exactly one per-core
-        #: slot, so the per-core counters sum to the shared ones by
-        #: construction.  See :meth:`enable_core_stats` for the
-        #: attribution rules.
+        #: of :class:`CacheStats`, one per core, or None (the default).
+        #: See :meth:`enable_core_stats` for the attribution rules.
         self.core_stats = None
+        #: The core whose fills install lines (their ``owner``) and whose
+        #: prefetch fills the shadow set records as the evicter; 0 in a
+        #: single-core hierarchy.
         self.active_core = 0
         #: Optional cross-core interference tap (duck-typed; see
         #: ``repro.sim.multicore.InterferenceMatrix``).  Only consulted
-        #: when ``core_stats`` is enabled.
+        #: on cross-core evictions and pollution misses.
         self.interference = None
 
     # ------------------------------------------------------------------
@@ -216,12 +215,6 @@ class Cache:
         """:meth:`access` for callers that already hold the block base."""
         stats = self.stats
         stats.demand_accesses += 1
-        core_stats = self.core_stats
-        if core_stats is not None:
-            cstats = core_stats[self.active_core]
-            cstats.demand_accesses += 1
-        else:
-            cstats = None
         line = self._index.get(block)
         if line is None:
             stats.demand_misses += 1
@@ -231,14 +224,9 @@ class Cache:
             polluted = evicter is not None
             if polluted:
                 stats.pollution_misses += 1
-            if cstats is not None:
-                cstats.demand_misses += 1
-                if polluted:
-                    cstats.pollution_misses += 1
-                    if evicter != self.active_core \
-                            and self.interference is not None:
-                        self.interference.note_pollution(
-                            evicter, self.active_core)
+                active = self.active_core
+                if evicter != active and self.interference is not None:
+                    self.interference.note_pollution(evicter, active)
             if self.observer is not None:
                 self.observer.on_demand_miss(self, block, polluted)
             return False
@@ -248,17 +236,13 @@ class Cache:
             lines.append(line)  # promote to MRU
         first_use = not line.referenced
         if first_use:
+            # The accessing core owns the line: co-running cores touch
+            # disjoint address ranges.
             line.referenced = True
             stats.useful_prefetches += 1
-            if core_stats is not None:
-                # Useful prefetches credit the core that prefetched the
-                # line, not (necessarily) the core touching it.
-                core_stats[line.owner].useful_prefetches += 1
         if is_store:
             line.dirty = True
         stats.demand_hits += 1
-        if cstats is not None:
-            cstats.demand_hits += 1
         if self.observer is not None:
             self.observer.on_demand_hit(self, block, first_use)
         return True
@@ -308,7 +292,6 @@ class Cache:
                 existing.dirty = True
             return None
         stats = self.stats
-        core_stats = self.core_stats
         active = self.active_core
         shadow = self._shadow
         lines = self._sets[(block >> self._block_shift) & self._set_mask]
@@ -316,10 +299,13 @@ class Cache:
         if len(lines) >= self.assoc:
             victim = lines.pop(0)  # LRU
             del index[victim.block]
+            if self.observer is not None:
+                self.observer.on_evict(self, victim.block, victim.prefetched,
+                                       victim.referenced, prefetched)
+            if victim.owner != active:
+                self.evict_foreign(victim, active, prefetched)
             if victim.prefetched and not victim.referenced:
                 stats.useless_evicted_prefetches += 1
-                if core_stats is not None:
-                    core_stats[victim.owner].useless_evicted_prefetches += 1
             if prefetched:
                 # Shadow the victim: a later demand miss to it is cache
                 # pollution chargeable to this prefetch fill.  The stored
@@ -328,20 +314,9 @@ class Cache:
                 shadow[victim.block] = active
                 if len(shadow) > self._shadow_capacity:
                     shadow.popitem(last=False)  # FIFO: oldest entry
-                if core_stats is not None:
-                    core_stats[active].prefetch_evictions += 1
-            if core_stats is not None:
-                if victim.dirty:
-                    core_stats[active].writebacks += 1
-                if victim.owner != active and self.interference is not None:
-                    self.interference.note_eviction(
-                        active, victim.owner, prefetched)
             if victim.dirty:
                 stats.writebacks += 1
                 writeback = victim.block
-            if self.observer is not None:
-                self.observer.on_evict(self, victim.block, victim.prefetched,
-                                       victim.referenced, prefetched)
         # The block is resident again: any pending pollution attribution
         # against it is moot.
         shadow.pop(block, None)
@@ -359,11 +334,26 @@ class Cache:
         index[block] = line
         if prefetched:
             stats.prefetch_fills += 1
-            if core_stats is not None:
-                core_stats[active].prefetch_fills += 1
         if self.observer is not None:
             self.observer.on_fill(self, block, prefetched)
         return writeback
+
+    def evict_foreign(self, line, core_id, by_prefetch):
+        """Charge another core's share of an eviction by ``core_id``.
+
+        ``line`` was just evicted from a shared cache by a fill of core
+        ``core_id`` but belongs to another core.  A never-referenced
+        prefetch is its owner's useless prefetch, and the eviction is
+        cross-core interference.  The line is then marked referenced and
+        owned by ``core_id``, so the evicting core's own accounting skips
+        it and a caller may recycle the object for its new block.
+        """
+        if line.prefetched and not line.referenced:
+            self.core_stats[line.owner].useless_evicted_prefetches += 1
+            line.referenced = True
+        if self.interference is not None:
+            self.interference.note_eviction(core_id, line.owner, by_prefetch)
+        line.owner = core_id
 
     def set_prefetch_insert(self, value):
         """Change the prefetch insertion policy live.
@@ -395,22 +385,30 @@ class Cache:
     def enable_core_stats(self, n_cores):
         """Switch on per-core attribution for a shared cache.
 
-        Allocates one :class:`CacheStats` per core.  The attribution
-        rules, chosen so each per-core column has a single unambiguous
-        debtor and the columns sum to the shared counters:
+        Allocates one :class:`CacheStats` per core.  Each event is then
+        counted once, in one slice.  The methods here count into
+        :attr:`stats`, which the co-run points at the stepping core's
+        slice together with :attr:`active_core`
+        (``SharedMemorySystem.set_active``).  Each hierarchy's one-frame
+        demand miss and prefetch drain bind their own core's slice, since
+        they only run while that core steps.  The slices sum to the
+        shared totals, which the co-run takes when it ends
+        (``SharedMemorySystem.sum_slices``).  Who is charged:
 
-        * demand accesses / hits / misses / pollution misses — the
-          **accessing** core (``active_core``);
+        * demand accesses / hits / misses / pollution misses and useful
+          prefetches — the **accessing** core, which also owns the line
+          it hits (co-running cores touch disjoint address ranges);
         * prefetch fills, prefetch evictions, writebacks — the **active**
           core whose fill or eviction performed the work;
-        * useful prefetches and useless evicted prefetches — the line's
-          **owner** (the core whose fill installed it).
+        * useless evicted prefetches — the line's **owner** (the core
+          whose fill installed it).
 
         Cross-core events (a fill evicting another core's line, a demand
         miss to a block another core's prefetch displaced) are
         additionally reported to :attr:`interference` when set.
         """
         self.core_stats = [CacheStats() for _ in range(n_cores)]
+        self.stats = self.core_stats[self.active_core]
         return self.core_stats
 
     def resident_unreferenced_prefetches(self, owner=None):

@@ -108,11 +108,6 @@ class MemoryController:
         self._held_queued_at = 0.0
         self._held_ch = 0
         self._cache_blocked = True
-        #: Which core this controller front-ends (multi-core co-runs give
-        #: each core a private controller over the shared DRAM/MSHRs).
-        #: Selects the per-core slice mirrored by the inlined DRAM/MSHR
-        #: operations in :meth:`issue_prefetches` when attribution is on.
-        self.core_id = 0
         #: The one-frame drain's bindings (see :meth:`bind_drain`), or
         #: None: every call then takes :meth:`_issue_decomposed`.
         self._drain = None
@@ -128,9 +123,13 @@ class MemoryController:
         where those are the only observers: no trace sink (the metrics
         collector installs its cache observers only with one), not a
         reference run, an engine that fills the L2.  Every container
-        bound here lives as long as its owner; the scalars that can
-        change during a run (insertion depth, active core, per-core
-        stats) are read per call.
+        bound here lives as long as its owner; the insertion depth,
+        which the adaptive policy changes during a run, is read per call.
+
+        In a co-run the drain counts into the hierarchy's slices of the
+        shared L2, MSHR file and DRAM (its stats views) and owns its
+        fills as the hierarchy's core: a controller's drain only runs
+        while its core steps.
         """
         l2 = hierarchy.l2
         mshrs = hierarchy.l2_mshrs
@@ -144,14 +143,16 @@ class MemoryController:
             l2, queue, entries, queue._fifo if entries is None else None,
             getattr(queue, "_lifo", True), l2._sets, l2._index, l2._shadow,
             l2._shadow_capacity, l2._block_shift, l2._set_mask, l2.assoc,
-            l2.stats, mshrs, mshrs._inflight, mshrs._heap, mshrs.num_entries,
+            hierarchy.l2_stats_view(), hierarchy.mshr_stats_view(),
+            hierarchy.core_id,
+            mshrs, mshrs._inflight, mshrs._heap, mshrs.num_entries,
             hierarchy._prefetch_ready, hierarchy._ready_heap,
             hierarchy._prune_ready, hierarchy._pf_on_fill,
             hierarchy._pf_on_drop, dram, dram._channel_free, dram._open_rows,
             dram.channel_busy_cycles, dram._block_shift, dram._channels,
             dram._banks, dram._channels * dram._blocks_per_row,
             cfg.row_hit_latency, cfg.row_miss_latency, cfg.transfer_cycles,
-            dram.stats,
+            hierarchy.dram_stats_view(),
         )
 
     # ------------------------------------------------------------------
@@ -181,7 +182,10 @@ class MemoryController:
 
         Runs bound with :meth:`bind_drain` take the one-frame drain below;
         all others (reference runs, trace-sink runs, stream buffers, bare
-        controllers) take :meth:`_issue_decomposed`, the oracle.
+        controllers) take :meth:`_issue_decomposed`, the oracle.  While
+        the blocked-issue gate holds, a call only runs
+        :meth:`gated_reclaim`; ``Core.run_span`` tests the gate before
+        calling and inlines that reclaim.
         """
         prefetcher = self.prefetcher
         if prefetcher is None:
@@ -199,26 +203,15 @@ class MemoryController:
             self._issue_decomposed(now, budget)
             return
         (l2, queue, entries, fifo, lifo, sets, index, shadow, shadow_cap,
-         l2_shift, set_mask, assoc, l2stats, mshrs, inflight, heap,
-         capacity, prefetch_ready, ready_heap, prune_ready, on_fill, on_drop,
-         dram, channel_free, open_rows, busy_cycles, blk_shift, n_channels,
-         n_banks, row_span, row_hit_latency, row_miss_latency,
-         transfer_cycles, dstats) = drain
+         l2_shift, set_mask, assoc, l2stats, mstats, core_id, mshrs,
+         inflight, heap, capacity, prefetch_ready, ready_heap, prune_ready,
+         on_fill, on_drop, dram, channel_free, open_rows, busy_cycles,
+         blk_shift, n_channels, n_banks, row_span, row_hit_latency,
+         row_miss_latency, transfer_cycles, dstats) = drain
         held = queue._held
         if held is None and not (entries if fifo is None else fifo):
             return  # has_candidates(), inlined
         self._blocked_until = -1.0
-        # Per-core mirrors of a shared co-run's DRAM, MSHR file and L2
-        # (all None in a single-core hierarchy).
-        core_id = self.core_id
-        dstats_core = core_busy = mshr_core = None
-        if dram.core_stats is not None:
-            dstats_core = dram.core_stats[core_id]
-            core_busy = dram.core_busy_cycles
-        if mshrs.core_stats is not None:
-            mshr_core = mshrs.core_stats[core_id]
-        l2_core = l2.core_stats
-        active = l2.active_core
         depth = l2.prefetch_insert_depth
         demand_busy = self.demand_busy_until
         min_ready = mshrs._min_ready
@@ -379,18 +372,11 @@ class MemoryController:
                 if bank_rows[bank] == row:
                     latency = row_hit_latency
                     n_row_hits += 1
-                    if dstats_core is not None:
-                        dstats_core.row_hits += 1
                 else:
                     latency = row_miss_latency
-                    if dstats_core is not None:
-                        dstats_core.row_misses += 1
                     bank_rows[bank] = row
                 channel_free[ch] = start + transfer_cycles
                 busy_cycles[ch] += transfer_cycles
-                if dstats_core is not None:
-                    dstats_core.prefetch_blocks += 1
-                    core_busy[core_id] += transfer_cycles
                 ready = start + latency
                 # MSHRFile.allocate(block, ready, earliest), inlined.
                 if earliest >= min_ready:
@@ -406,8 +392,6 @@ class MemoryController:
                 heappush(heap, (ready, block))
                 if ready < min_ready:
                     min_ready = ready
-                if mshr_core is not None:
-                    mshr_core.allocations += 1
                 issued += 1
                 # Cache.fill(block, prefetched=True), inlined.  The
                 # residency test above rules out its squash branch.
@@ -419,23 +403,14 @@ class MemoryController:
                     line = lines[0]
                     victim = line.block
                     del index[victim]
+                    if line.owner != core_id:
+                        l2.evict_foreign(line, core_id, True)
                     if line.prefetched and not line.referenced:
                         n_useless += 1
-                        if l2_core is not None:
-                            l2_core[line.owner] \
-                                .useless_evicted_prefetches += 1
                     n_evictions += 1
-                    shadow[victim] = active
+                    shadow[victim] = core_id
                     if len(shadow) > shadow_cap:
                         shadow.popitem(last=False)  # FIFO: oldest entry
-                    if l2_core is not None:
-                        l2_core[active].prefetch_evictions += 1
-                        if line.dirty:
-                            l2_core[active].writebacks += 1
-                        if line.owner != active \
-                                and l2.interference is not None:
-                            l2.interference.note_eviction(
-                                active, line.owner, True)
                     if line.dirty:
                         l2stats.writebacks += 1
                         writeback = victim
@@ -444,7 +419,6 @@ class MemoryController:
                     line.block = block
                     line.prefetched = True
                     line.referenced = False
-                    line.owner = active
                     if depth:
                         del lines[0]
                         if depth >= len(lines):
@@ -454,14 +428,12 @@ class MemoryController:
                 else:
                     if shadow:
                         shadow.pop(block, None)
-                    line = CacheLine(block, True, active)
+                    line = CacheLine(block, True, core_id)
                     if depth >= len(lines):
                         lines.append(line)  # MRU
                     else:
                         lines.insert(depth, line)  # 0 = LRU
                 index[block] = line
-                if l2_core is not None:
-                    l2_core[active].prefetch_fills += 1
                 # The rest of Hierarchy._fill_prefetch.
                 if writeback is not None:
                     dram.access(writeback, ready, "writeback")
@@ -489,7 +461,7 @@ class MemoryController:
             self.prefetches_dropped_resident += n_dropped
             self.prefetches_blocked_mshr += n_blocked
             queue.candidates_issued += n_popped
-            mshrs.allocations += issued
+            mstats.allocations += issued
             dstats.prefetch_blocks += issued
             dstats.row_hits += n_row_hits
             dstats.row_misses += issued - n_row_hits
@@ -546,21 +518,9 @@ class MemoryController:
         row_miss_latency = dram_cfg.row_miss_latency
         transfer_cycles = dram_cfg.transfer_cycles
         dstats = dram.stats
-        # Per-core mirrors (shared multi-core DRAM/MSHRs only; both stay
-        # None in a single-core hierarchy).  The inlined transfer below
-        # bypasses DRAMSystem.access, so it must mirror its attribution.
-        core_id = self.core_id
-        dstats_core = None
-        core_busy = None
-        if dram.core_stats is not None:
-            dstats_core = dram.core_stats[core_id]
-            core_busy = dram.core_busy_cycles
-        mshr_core = None
         if mshrs is not None:
             mshr_inflight = mshrs._inflight
             mshr_capacity = mshrs.num_entries
-            if mshrs.core_stats is not None:
-                mshr_core = mshrs.core_stats[core_id]
         # Loop-invariant reads and counters, hoisted to locals: nothing in
         # the issue loop writes ``demand_busy_until`` (only demand fetches
         # move it, and none can occur mid-loop), and the two hot counters
@@ -635,20 +595,13 @@ class MemoryController:
                 if bank_rows[bank] == row:
                     latency = row_hit_latency
                     dstats.row_hits += 1
-                    if dstats_core is not None:
-                        dstats_core.row_hits += 1
                 else:
                     latency = row_miss_latency
                     dstats.row_misses += 1
-                    if dstats_core is not None:
-                        dstats_core.row_misses += 1
                     bank_rows[bank] = row
                 channel_free[ch] = start + transfer_cycles
                 busy_cycles[ch] += transfer_cycles
                 dstats.prefetch_blocks += 1
-                if dstats_core is not None:
-                    dstats_core.prefetch_blocks += 1
-                    core_busy[core_id] += transfer_cycles
                 ready = start + latency
                 if mshrs is not None:
                     # MSHRFile.allocate(block, ready, earliest), inlined.
@@ -661,9 +614,7 @@ class MemoryController:
                     heappush(mshrs._heap, (ready, block))
                     if ready < mshrs._min_ready:
                         mshrs._min_ready = ready
-                    mshrs.allocations += 1
-                    if mshr_core is not None:
-                        mshr_core.allocations += 1
+                    mshrs.stats.allocations += 1
                 n_issued += 1
                 issued += 1
                 if metrics is not None:
@@ -685,6 +636,11 @@ class MemoryController:
         stretch of L1 hits never advances, so N gated calls during such
         a stretch equal one: the first reclaim removes every entry
         completed by the bound and the rest are no-ops.
+
+        :meth:`issue_prefetches` calls it for callers that go through
+        the gate there (``Hierarchy.access``, :meth:`drain`).
+        ``Core.run_span`` tests the gate itself and runs this body
+        inline, so a gated reference there makes no call.
         """
         mshrs = self.mshrs
         if mshrs is None:

@@ -95,25 +95,51 @@ class DRAMSystem:
         #: Cumulative cycles each channel spent transferring data — the
         #: numerator of per-channel utilization (busy / elapsed cycles).
         self.channel_busy_cycles = [0] * cfg.channels
+        #: The counting target: this system's :class:`DRAMStats`, or, in
+        #: a shared co-run DRAM, the stepping core's slice.
         self.stats = DRAMStats()
-        #: Per-core attribution (shared multi-core DRAM only): parallel
-        #: :class:`DRAMStats` plus per-core busy-cycle totals, or None
-        #: (the default).  The issuing layer sets ``active_core`` before
-        #: each access; see :meth:`enable_core_stats`.
+        #: Per-core slices (shared multi-core DRAM only), or None (the
+        #: default); see :meth:`enable_core_stats`.
         self.core_stats = None
-        self.active_core = 0
-        self.core_busy_cycles = None
 
     def enable_core_stats(self, n_cores):
         """Switch on per-core traffic attribution for a shared DRAM.
 
-        Every counter bump in :meth:`access` is mirrored into the active
-        core's :class:`DRAMStats` (and its busy-cycle total), so the
-        per-core columns sum to the shared ones by construction.
+        Allocates one :class:`DRAMStats` per core.  Each transfer is
+        counted once, in the slice of the core that issued it: the
+        co-run points :attr:`stats` at the stepping core's slice, and a
+        hierarchy's inlined transfers (the one-frame demand miss, the
+        prefetch drain) bind their own core's slice.  The shared totals
+        are the slices' sums, taken when the co-run ends.
         """
         self.core_stats = [DRAMStats() for _ in range(n_cores)]
-        self.core_busy_cycles = [0] * n_cores
+        self.stats = self.core_stats[0]
         return self.core_stats
+
+    @property
+    def core_busy_cycles(self):
+        """Channel cycles each core's transfers occupied, or None.
+
+        Every transfer occupies its channel for ``transfer_cycles``, so a
+        core's total is that times its slice's transfer count.  A
+        non-integer ``transfer_cycles`` is summed transfer by transfer
+        instead, the order a running total would have added it in.
+        """
+        if self.core_stats is None:
+            return None
+        cycles = self.config.transfer_cycles
+        busy = []
+        for stats in self.core_stats:
+            transfers = (stats.demand_blocks + stats.prefetch_blocks
+                         + stats.writeback_blocks)
+            if isinstance(cycles, int):
+                busy.append(cycles * transfers)
+            else:
+                total = 0
+                for _ in range(transfers):
+                    total += cycles
+                busy.append(total)
+        return busy
 
     # ------------------------------------------------------------------
     # Address mapping: blocks interleave across channels, then banks.
@@ -177,37 +203,22 @@ class DRAMSystem:
         start = self._channel_free[ch]
         if now >= start:
             start = now
-        core_stats = self.core_stats
-        cstats = None
-        if core_stats is not None:
-            cstats = core_stats[self.active_core]
-            self.core_busy_cycles[self.active_core] += cfg.transfer_cycles
         bank_rows = self._open_rows[ch]
         if bank_rows[bank] == row:
             latency = cfg.row_hit_latency
             stats.row_hits += 1
-            if cstats is not None:
-                cstats.row_hits += 1
         else:
             latency = cfg.row_miss_latency
             stats.row_misses += 1
-            if cstats is not None:
-                cstats.row_misses += 1
             bank_rows[bank] = row
         self._channel_free[ch] = start + cfg.transfer_cycles
         self.channel_busy_cycles[ch] += cfg.transfer_cycles
         if kind == "demand":
             stats.demand_blocks += 1
-            if core_stats is not None:
-                cstats.demand_blocks += 1
         elif kind == "prefetch":
             stats.prefetch_blocks += 1
-            if core_stats is not None:
-                cstats.prefetch_blocks += 1
         elif kind == "writeback":
             stats.writeback_blocks += 1
-            if core_stats is not None:
-                cstats.writeback_blocks += 1
         else:
             raise ValueError("unknown access kind %r" % kind)
         return start + latency

@@ -95,6 +95,8 @@ class Hierarchy:
                 "L2", config.l2_size, config.l2_assoc, config.block_size,
                 config.l2_latency, prefetch_insert=config.prefetch_insert,
             )
+            # Every line of a private L2 is this core's.
+            self.l2.active_core = core_id
             self.l2_mshrs = MSHRFile(config.mshr_entries)
             self.dram = DRAMSystem(config.dram)
             self._prefetch_ready = {}
@@ -106,7 +108,6 @@ class Hierarchy:
             self._prefetch_ready = shared.prefetch_ready
             self._ready_heap = shared.ready_heap
         self.controller = MemoryController(self.dram, prefetcher)
-        self.controller.core_id = core_id
         self.controller.fill_prefetch = self._fill_prefetch
         self.controller.is_resident = self.l2.contains_block
         self.controller.resident_map = self.l2.resident_map
@@ -183,10 +184,9 @@ class Hierarchy:
         #: :meth:`access_after_l1_miss`, the decomposed chain and its
         #: oracle.  Reference runs must take the oracle; TLB and
         #: trace-sink runs replay through :meth:`access` anyway; the
-        #: frame has no ``perfect_l2`` branch and no per-core attribution
-        #: for a shared co-run L2, MSHR file and DRAM.
+        #: frame has no ``perfect_l2`` branch.
         if reference or self.tlb is not None or trace_sink is not None \
-                or self._perfect_l2 or shared is not None:
+                or self._perfect_l2:
             self.demand_miss = self.access_after_l1_miss
         else:
             self.demand_miss = self._build_demand_miss()
@@ -276,6 +276,8 @@ class Hierarchy:
         t = now + self.l1.latency
         completion = self._l2_access(block, addr, t, is_store, ref_id, hint)
         # Fill L1; a dirty victim merges into the L2 copy when present.
+        # The merge is a clean fill, so a clean resident copy stays
+        # clean and the store is lost (a known deviation, DESIGN §3d).
         l1_victim = self.l1.fill(addr, is_store=is_store)
         if l1_victim is not None:
             self.l2.fill(l1_victim)
@@ -321,31 +323,22 @@ class Hierarchy:
                     self.controller._blocked_until = -1.0
                 return completion
         mshrs = self.l2_mshrs
-        mshr_core = None
-        if mshrs.core_stats is not None:
-            mshr_core = mshrs.core_stats[self.core_id]
         # MSHRFile.lookup / earliest_free, with their lazy-reclaim guard
         # hoisted so the common no-completed-fill case pays no calls.
         if t >= mshrs._min_ready:
             mshrs._reclaim(t)
         merged = mshrs._inflight.get(block)
         if merged is not None:
-            mshrs.merges += 1
-            if mshr_core is not None:
-                mshr_core.merges += 1
+            mshrs.stats.merges += 1
             self.stats.mshr_merge_waits += 1
             return max(merged, t + self.l2.latency)
         if len(mshrs._inflight) < mshrs.num_entries:
             start = t
         else:
-            mshrs.stalls += 1
-            if mshr_core is not None:
-                mshr_core.stalls += 1
+            mshrs.stats.stalls += 1
             start = max(t, mshrs.earliest_ready())
         ready = self.controller.demand_fetch(block, start)
         mshrs.allocate(block, ready, start)
-        if mshr_core is not None:
-            mshr_core.allocations += 1
         writeback = self.l2.fill(addr, is_store=is_store)
         if writeback is not None:
             self.controller.writeback(writeback, ready)
@@ -367,10 +360,17 @@ class Hierarchy:
         The handler runs the L2 probe, the engine hooks, the MSHR file,
         the DRAM transfer and both fills inline, operation for operation
         as the decomposed chain does them, with the same arguments and
-        return value.  It relies on what a private single-core hierarchy
-        without a trace sink guarantees: no cache observer, no per-core
-        stats, every line owned by core 0.  It also relies on three
-        facts of the miss path:
+        return value.  It relies on what a hierarchy without a trace
+        sink guarantees: no cache observer.  In a co-run it counts into
+        this core's slices of the shared L2, MSHR file and DRAM (the
+        stats views), which is where the decomposed chain counts too:
+        the handler only runs while this core steps, and the co-run
+        points each shared level's stats at the stepping core's slice.
+        Work that depends on another core's line (a useless prefetch
+        credited to its owner, interference notes) runs only when an
+        eviction or a pollution miss finds one, so a single-core run,
+        where every line is core 0's, only pays the comparison.  It also
+        relies on three facts of the miss path:
 
         * the L1 is demand-only: its one fill site is this miss path, so
           every L1 line is unprefetched and referenced, and its shadow
@@ -408,8 +408,10 @@ class Hierarchy:
         l2_shift = l2._block_shift
         l2_set_mask = l2._set_mask
         l2_assoc = l2.assoc
-        l2stats = l2.stats
+        l2stats = self.l2_stats_view()
         l2_fill = l2.fill
+        evict_foreign = l2.evict_foreign
+        core_id = self.core_id
         inflight = mshrs._inflight
         heap = mshrs._heap
         n_entries = mshrs.num_entries
@@ -424,7 +426,8 @@ class Hierarchy:
         row_hit_latency = dcfg.row_hit_latency
         row_miss_latency = dcfg.row_miss_latency
         transfer_cycles = dcfg.transfer_cycles
-        dstats = dram.stats
+        dstats = self.dram_stats_view()
+        mstats = self.mshr_stats_view()
         prefetch_ready = self._prefetch_ready
         on_l2_access = _engine_hook(prefetcher, "on_l2_access")
         on_l2_miss = _engine_hook(prefetcher, "on_l2_miss")
@@ -468,15 +471,19 @@ class Hierarchy:
                     metrics.timely_prefetch_uses += 1
             else:
                 l2stats.demand_misses += 1
-                if l2_shadow and l2_shadow.pop(block, None) is not None:
-                    l2stats.pollution_misses += 1
+                if l2_shadow:
+                    evicter = l2_shadow.pop(block, None)
+                    if evicter is not None:
+                        l2stats.pollution_misses += 1
+                        if evicter != core_id:
+                            l2.interference.note_pollution(evicter, core_id)
                 if on_l2_access is not None:
                     on_l2_access(block, addr, ref_id, hint, t, False)
                 # -- _l2_miss.
                 if on_l2_miss is not None:
                     on_l2_miss(block, addr, ref_id, hint, t)
-                probe_ready = probe(block, t) if probe is not None else None
-                if probe_ready is not None:
+                if probe is not None \
+                        and (probe_ready := probe(block, t)) is not None:
                     # A stream buffer holds the block (rare: stride
                     # schemes only), so the fill stays out of line.
                     completion = t + l2_latency
@@ -500,7 +507,7 @@ class Hierarchy:
                     merged = inflight.get(block)
                     if merged is not None:
                         # Merge into the outstanding fill.
-                        mshrs.merges += 1
+                        mstats.merges += 1
                         hstats.mshr_merge_waits += 1
                         completion = t + l2_latency
                         if merged >= completion:
@@ -511,7 +518,7 @@ class Hierarchy:
                         else:
                             # Stall until the earliest fill completes
                             # (MSHRFile.earliest_ready, inlined).
-                            mshrs.stalls += 1
+                            mstats.stalls += 1
                             r, b = heap[0]
                             while inflight.get(b) != r:
                                 heappop(heap)
@@ -557,13 +564,15 @@ class Hierarchy:
                         if ready < min_ready:
                             min_ready = ready
                         mshrs._min_ready = min_ready
-                        mshrs.allocations += 1
+                        mstats.allocations += 1
                         # The L2 demand fill: Cache.fill, inlined, with
                         # its dirty victim's writeback (at `ready`).
                         lines = l2_sets[(block >> l2_shift) & l2_set_mask]
                         if len(lines) >= l2_assoc:
                             line = lines.pop(0)  # LRU
                             del l2_index[line.block]
+                            if line.owner != core_id:
+                                evict_foreign(line, core_id, False)
                             if line.prefetched:
                                 if not line.referenced:
                                     l2stats.useless_evicted_prefetches += 1
@@ -575,7 +584,7 @@ class Hierarchy:
                             line.block = block
                             line.dirty = is_store
                         else:
-                            line = CacheLine(block)
+                            line = CacheLine(block, False, core_id)
                             if is_store:
                                 line.dirty = True
                         lines.append(line)  # MRU
@@ -610,7 +619,10 @@ class Hierarchy:
                 return completion
             # The dirty L1 victim merges into the L2 (Cache.fill of a
             # clean demand line, inlined; its own writeback is dropped,
-            # as the decomposed chain drops it).
+            # as the decomposed chain drops it).  A resident copy keeps
+            # its dirty bit as it was, so a clean one loses the store:
+            # the chain's known deviation (DESIGN §3d), kept here for
+            # byte identity.
             l1stats.writebacks += 1
             line = l2_index.get(victim)
             lines = l2_sets[(victim >> l2_shift) & l2_set_mask]
@@ -622,6 +634,8 @@ class Hierarchy:
                 if len(lines) >= l2_assoc:
                     line = lines.pop(0)
                     del l2_index[line.block]
+                    if line.owner != core_id:
+                        evict_foreign(line, core_id, False)
                     if line.prefetched:
                         if not line.referenced:
                             l2stats.useless_evicted_prefetches += 1
@@ -632,7 +646,7 @@ class Hierarchy:
                         line.dirty = False
                     line.block = victim
                 else:
-                    line = CacheLine(victim)
+                    line = CacheLine(victim, False, core_id)
                 if l2_shadow:
                     l2_shadow.pop(victim, None)
                 lines.append(line)
@@ -672,10 +686,9 @@ class Hierarchy:
         return self.dram.core_stats[self.core_id]
 
     def mshr_stats_view(self):
-        """This core's MSHR counters (``stalls``/``merges``/``allocations``
-        attributes, satisfied by the file itself or its per-core slice)."""
+        """This core's MSHR counters (see :meth:`l2_stats_view`)."""
         if self._shared is None:
-            return self.l2_mshrs
+            return self.l2_mshrs.stats
         return self.l2_mshrs.core_stats[self.core_id]
 
     def resident_unreferenced_view(self):

@@ -21,13 +21,8 @@ import heapq
 _INF = float("inf")
 
 
-class MSHRCoreStats:
-    """Per-core slice of a shared MSHR file's counters.
-
-    Field-compatible with the attributes :class:`MSHRFile` exposes
-    directly (``stalls``, ``merges``, ``allocations``) so the metrics
-    layer can read either interchangeably.
-    """
+class MSHRStats:
+    """Counters for one MSHR file, or one core's slice of a shared one."""
 
     def __init__(self):
         self.merges = 0
@@ -56,19 +51,26 @@ class MSHRFile:
         #: :meth:`_reclaim` (called on every lookup/allocate/probe) return
         #: at once while no fill can have completed yet.
         self._min_ready = _INF
-        self.merges = 0
-        self.allocations = 0
-        self.stalls = 0
-        #: Per-core attribution for a *shared* MSHR file, or None (the
-        #: default).  The file itself does not know which core is asking,
-        #: so the hierarchy/controller layers mirror their own increments
-        #: into ``core_stats[core_id]`` — see
-        #: ``Hierarchy._l2_miss`` and ``MemoryController.issue_prefetches``.
+        #: The counting target: this file's :class:`MSHRStats`, or, in a
+        #: shared co-run file, the stepping core's slice.
+        self.stats = MSHRStats()
+        #: Per-core slices for a *shared* MSHR file, or None (the
+        #: default); see :meth:`enable_core_stats`.
         self.core_stats = None
 
     def enable_core_stats(self, n_cores):
-        """Allocate per-core counter slices (shared multi-core file)."""
-        self.core_stats = [MSHRCoreStats() for _ in range(n_cores)]
+        """Allocate per-core counter slices (shared multi-core file).
+
+        Each event is counted once, in one slice: the co-run points
+        :attr:`stats` at the stepping core's slice
+        (``SharedMemorySystem.set_active``), and each hierarchy's
+        one-frame demand miss (``Hierarchy.demand_miss``) and prefetch
+        drain (``MemoryController.issue_prefetches``) bind their own
+        core's slice, since they only run while that core steps.  The
+        file's totals are the slices' sums, taken when the co-run ends.
+        """
+        self.core_stats = [MSHRStats() for _ in range(n_cores)]
+        self.stats = self.core_stats[0]
         return self.core_stats
 
     def _reclaim(self, now):
@@ -111,7 +113,7 @@ class MSHRFile:
         self._reclaim(now)
         ready = self._inflight.get(block)
         if ready is not None:
-            self.merges += 1
+            self.stats.merges += 1
         return ready
 
     def earliest_free(self, now, record_stall=False):
@@ -130,7 +132,7 @@ class MSHRFile:
         if len(self._inflight) < self.num_entries:
             return now
         if record_stall:
-            self.stalls += 1
+            self.stats.stalls += 1
         return self.earliest_ready()
 
     def allocate(self, block, ready, now):
@@ -145,4 +147,4 @@ class MSHRFile:
         heapq.heappush(self._heap, (ready, block))
         if ready < self._min_ready:
             self._min_ready = ready
-        self.allocations += 1
+        self.stats.allocations += 1

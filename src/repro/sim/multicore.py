@@ -25,12 +25,17 @@ Address disjointness
     contention), and every cache line has exactly one owning core.
 
 Attribution
-    The shared levels mirror each counter bump into a per-core slice
-    (see :meth:`repro.mem.cache.Cache.enable_core_stats` for the rules),
-    so per-core counters sum to the shared ones by construction, and
-    cross-core events (a prefetch evicting another core's line; a demand
-    miss to a block another core's prefetch displaced) land in the
-    :class:`InterferenceMatrix`.
+    Each shared level counts every event once, in one core's slice
+    (see :meth:`repro.mem.cache.Cache.enable_core_stats` for the rules):
+    :meth:`SharedMemorySystem.set_active` points each level's ``stats``
+    at the stepping core's slice, and each core's one-frame demand miss
+    and prefetch drain bind their own core's slices, because they only
+    run while that core steps.  When the co-run ends,
+    :meth:`SharedMemorySystem.sum_slices` makes each level's ``stats``
+    the sum of its slices, so the shared totals are the per-core columns
+    summed by construction.  Cross-core events (a fill evicting another
+    core's line; a demand miss to a block another core's prefetch
+    displaced) land in the :class:`InterferenceMatrix`.
 
 Degenerate case
     A 1-core co-run issues the identical operation sequence as the
@@ -145,9 +150,29 @@ class SharedMemorySystem:
         self.dram.enable_core_stats(n_cores)
 
     def set_active(self, core_id):
-        """Tag subsequent shared-level events as core ``core_id``'s."""
+        """Count subsequent shared-level events as core ``core_id``'s.
+
+        Points the L2's, the DRAM's and the MSHR file's ``stats`` at the
+        core's slice; the L2 also records the core as the owner of the
+        lines it fills and the evicter in its shadow set.
+        """
         self.l2.active_core = core_id
-        self.dram.active_core = core_id
+        self.l2.stats = self.l2.core_stats[core_id]
+        self.dram.stats = self.dram.core_stats[core_id]
+        self.mshrs.stats = self.mshrs.core_stats[core_id]
+
+    def sum_slices(self):
+        """Make each level's ``stats`` the sum of its per-core slices.
+
+        Called once, when the co-run has finished; the slices stay as
+        they are.
+        """
+        for level in (self.l2, self.dram, self.mshrs):
+            total = type(level.stats)()
+            for name in vars(total):
+                setattr(total, name, sum(getattr(part, name)
+                                         for part in level.core_stats))
+            level.stats = total
 
 
 class CoreCell:
@@ -305,12 +330,20 @@ class MultiCoreSimulator:
             rr = best + 1
             if rr == n:
                 rr = 0
-        # Per-core finish in core-id order (deterministic): drain the
-        # controller's residual prefetch issue at that core's final
-        # cycle, then finalize its metrics — the single-core sequence.
-        for core_id, cell in enumerate(cells):
+        self.finish()
+
+    def finish(self):
+        """Finish every core, then total the shared levels' counters.
+
+        Per-core finish in core-id order (deterministic): drain the
+        controller's residual prefetch issue at that core's final cycle,
+        then finalize its metrics — the single-core sequence.
+        """
+        shared = self.shared
+        for core_id, cell in enumerate(self.cells):
             shared.set_active(core_id)
             cell.hierarchy.finish(cell.core.cycles)
+        shared.sum_slices()
 
     def results(self):
         """Per-core :class:`SimStats`, each over its attribution slice."""
@@ -365,9 +398,9 @@ def execute_corun(spec, solo_baseline=True):
         "l2": shared.l2.stats.snapshot(),
         "dram_row_hit_rate": shared.dram.stats.row_hit_rate,
         "mshr": {
-            "stalls": shared.mshrs.stalls,
-            "merges": shared.mshrs.merges,
-            "allocations": shared.mshrs.allocations,
+            "stalls": shared.mshrs.stats.stalls,
+            "merges": shared.mshrs.stats.merges,
+            "allocations": shared.mshrs.stats.allocations,
         },
     }
     if solo_baseline:

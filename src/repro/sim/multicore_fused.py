@@ -36,17 +36,25 @@ This module replaces the per-event dispatch with *stretches*:
 
 A stretch is one :meth:`~repro.cpu.core.Core.run_span` call: the
 single-core compiled replay body (columnar traces, the inlined L1 probe
-and issue-ring arithmetic, the out-of-line ``access`` for TLB configs),
+and issue-ring arithmetic, the blocked-issue gate, the one-frame L1 miss
+``Hierarchy.demand_miss``, the out-of-line ``access`` for TLB configs),
 which the single-core differential suite pins against the event
-interpreter.
+interpreter, and ``tests/test_multicore_fused.py`` and
+``tests/test_demand_miss.py`` against the stepped loop, which replays
+every miss through the decomposed chain.
 
 Two pieces of shared state are synchronized at stretch edges instead of
 per event, each justified by monotonicity:
 
 ``shared.set_active(best)``
-    Tags shared-level counters with the stepping core.  Constant for a
-    whole stretch (one winner), so setting it once at stretch start is
-    identical to setting it before every event.
+    Points each shared level's counters at the stepping core's slice,
+    and makes it the L2's owner and evicter id.  Constant for a whole
+    stretch (one winner), so setting it once at stretch start is
+    identical to setting it before every event.  The winner's frame and
+    prefetch drain count into slices they bound when built, their own
+    core's: the same slices, since during the stretch only the winner's
+    frame and drain run.  ``finish`` sets it per core before draining,
+    and then sums the slices into the shared totals.
 
 SRP demand-busy watermark
     The stepped loop folds every controller's ``demand_busy_until`` into
@@ -140,9 +148,4 @@ class FusedMultiCoreSimulator(MultiCoreSimulator):
             rr = best + 1
             if rr == n:
                 rr = 0
-        # Per-core finish in core-id order, identical to the stepped
-        # loop: drain residual prefetch issue at each core's final
-        # cycle, then finalize its metrics.
-        for core_id, cell in enumerate(cells):
-            shared.set_active(core_id)
-            cell.hierarchy.finish(cell.core.cycles)
+        self.finish()

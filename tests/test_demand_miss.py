@@ -1,32 +1,40 @@
 """The one-frame demand miss against the decomposed chain.
 
-A private single-core hierarchy handles an L1 miss in one closure
-(``Hierarchy.demand_miss``): the L2 probe, the engine hooks, the MSHR
-file, the DRAM transfer and both fills run inline.  Everything else
-keeps ``Hierarchy.access_after_l1_miss``, the decomposed chain, which
-``reference=True`` runs and which is the oracle here.
+A hierarchy handles an L1 miss in one closure (``Hierarchy.demand_miss``):
+the L2 probe, the engine hooks, the MSHR file, the DRAM transfer and
+both fills run inline.  Single-core runs and the fused co-run loop call
+it.  Reference, TLB, trace-sink and ``perfect_l2`` hierarchies keep
+``Hierarchy.access_after_l1_miss``, the decomposed chain, which
+``reference=True`` runs and the stepped co-run loop replays through;
+it is the oracle here.
 
 Each case below drives one branch of the frame hard, through
 ``MachineConfig.scaled`` overrides, checks the fast result against the
-reference result byte for byte, and checks from the fast result's own
-counters that the branch ran.
+oracle's byte for byte, and checks from the fast result's own counters
+that the branch ran.  The co-run cases also drive the frame's shared
+branches: another core's line evicted, another core's prefetch
+polluting, and per-core counting in the shared L2, MSHR file and DRAM.
 """
 
+import collections
 import json
 
 import pytest
 
+from repro.mem.cache import Cache
 from repro.mem.space import AddressSpace
 from repro.metrics.sink import TraceSink
 from repro.sim.config import MachineConfig
-from repro.sim.multicore import MultiCoreSimulator
+from repro.sim.multicore import (
+    CORE_BASE_STRIDE, MultiCoreSimulator, execute_corun,
+)
 from repro.sim.multicore_fused import FusedMultiCoreSimulator
 from repro.sim.runner import SCHEMES, execute
 from repro.sim.simulator import Simulator
 from repro.sim.spec import CoRunSpec, RunSpec
 from repro.workloads import workload_names
 
-from tests.test_prefetch_work import prepare
+from tests.test_prefetch_work import corun_results, prepare
 
 REFS = 2000
 
@@ -98,19 +106,12 @@ def test_frame_matches_decomposed_chain(case):
     assert ran(fast.to_dict())
 
 
-def test_held_candidate_cleared_by_demand_fill():
-    """A demand fill of the blocked-issue cache's held block disarms it.
-
-    Wraps the frame to count the misses that found the cache armed on
-    their own block and left it disarmed; the run must still equal the
-    reference run byte for byte.
-    """
-    spec = RunSpec.create("ammp", "srp", limit_refs=3000)
-    sim, trace = prepare(spec)
-    hierarchy = sim.hierarchy
+def count_cleared(hierarchy, cleared):
+    """Wrap ``hierarchy``'s frame to count, in ``cleared[0]``, the misses
+    that found the blocked-issue cache armed on their own block and left
+    it disarmed."""
     controller = hierarchy.controller
     frame = hierarchy.demand_miss
-    cleared = [0]
 
     def counting(block, addr, now, is_store, ref_id, hint):
         armed = controller._blocked_until >= 0 \
@@ -121,6 +122,15 @@ def test_held_candidate_cleared_by_demand_fill():
         return ready
 
     hierarchy.demand_miss = counting
+
+
+def test_held_candidate_cleared_by_demand_fill():
+    """A demand fill of the blocked-issue cache's held block disarms it;
+    the run must still equal the reference run byte for byte."""
+    spec = RunSpec.create("ammp", "srp", limit_refs=3000)
+    sim, trace = prepare(spec)
+    cleared = [0]
+    count_cleared(sim.hierarchy, cleared)
     stats = sim.run_compiled(trace, workload="ammp", scheme="srp")
     assert cleared[0] > 0
     assert as_json(stats) == as_json(execute(spec, reference=True))
@@ -168,6 +178,153 @@ def test_oracle_hierarchies_bind_the_decomposed_chain(tmp_path):
     assert decomposed(simulator(mode="perfect_l2").hierarchy)
     with TraceSink(str(tmp_path / "trace.jsonl")) as sink:
         assert decomposed(simulator(trace_sink=sink).hierarchy)
+
+
+def test_corun_cores_bind_by_loop():
+    """Fused co-run cores replay L1 misses through the frame; stepped
+    cores through ``access`` (the chain); TLB co-runs through
+    ``access`` in both loops."""
     spec = CoRunSpec.create(("mcf", "swim"), "srp", limit_refs=100)
-    for corun in (MultiCoreSimulator(spec), FusedMultiCoreSimulator(spec)):
+    fused = FusedMultiCoreSimulator(spec)
+    for cell in fused.cells:
+        assert not decomposed(cell.hierarchy)
+        ctx = cell.core.bind_compiled(cell.trace)
+        assert any(item is cell.hierarchy.demand_miss for item in ctx)
+    stepped = MultiCoreSimulator(spec)
+    for cell in stepped.cells:
+        cell.core.begin_stepping()
+        assert cell.core._step_access == cell.hierarchy.access
+    tlb = CoRunSpec.create(("mcf", "swim"), "srp",
+                           config=MachineConfig.scaled(tlb_entries=32),
+                           limit_refs=100)
+    fused_tlb = FusedMultiCoreSimulator(tlb)
+    for corun in (MultiCoreSimulator(tlb), fused_tlb):
         assert all(decomposed(cell.hierarchy) for cell in corun.cells)
+    for cell in fused_tlb.cells:
+        ctx = cell.core.bind_compiled(cell.trace)
+        assert ctx[7] is True  # `general`: every reference takes access
+
+
+# ----------------------------------------------------------------------
+# Co-runs: the fused loop (the frame) against the stepped loop (the chain)
+# ----------------------------------------------------------------------
+
+CORUN_REFS = 1500
+
+
+def off_diagonal(matrix):
+    return sum(value for i, row in enumerate(matrix)
+               for j, value in enumerate(row) if i != j)
+
+
+def shared(result):
+    return result["shared"]
+
+
+#: (case id, config overrides, workloads, scheme, evidence the branch ran
+#: from the fused result and the foreign evictions counted in it, keyed
+#: (by a prefetch fill, the line an unreferenced prefetch)).
+CORUN_CASES = [
+    ("cross-core-demand-eviction", {}, ("mcf", "swim"), "none",
+     lambda r, f: off_diagonal(
+         shared(r)["interference"]["demand_evictions"]) > 0
+     and f[(False, False)] > 0),
+    ("cross-core-pollution", dict(l1_size=1024), ("applu", "ammp"), "srp",
+     lambda r, f: shared(r)["cross_core_pollution"] > 0),
+    ("foreign-useless-prefetch", {}, ("mcf", "ammp"), "srp",
+     lambda r, f: f[(False, True)] > 0 and f[(True, True)] > 0
+     and all(core["l2"]["useless_evicted_prefetches"] > 0
+             for core in r["cores"])),
+    ("stall-mshr1", dict(mshr_entries=1), ("mcf", "swim"), "none",
+     lambda r, f: shared(r)["mshr"]["stalls"] > 0
+     and all(mshr(core)["demand_stalls"] > 0 for core in r["cores"])),
+    ("stall-mshr2", dict(mshr_entries=2), ("mcf", "ammp"), "srp",
+     lambda r, f: shared(r)["mshr"]["stalls"] > 0),
+    ("merge-none", DIRECT_MAPPED, ("art", "mcf"), "none",
+     lambda r, f: shared(r)["mshr"]["merges"] > 0),
+    ("merge-grp", DIRECT_MAPPED, ("mcf", "twolf"), "grp",
+     lambda r, f: shared(r)["mshr"]["merges"] > 0
+     and off_diagonal(shared(r)["interference"]["pollution"]) > 0),
+    ("dirty-victim-tiny-l1", dict(l1_size=1024), ("applu", "ammp"), "srp",
+     lambda r, f: all(core["l1"]["writebacks"] > 0 for core in r["cores"])),
+    ("probe-stride", {}, ("applu", "swim"), "stride",
+     lambda r, f: all(core["prefetcher"]["private_useful"] > 0
+                      for core in r["cores"])),
+]
+
+
+@pytest.fixture
+def foreign_evictions(monkeypatch):
+    """Count ``Cache.evict_foreign`` calls while the fixture is live.
+
+    Patched on the class, so hierarchies built afterwards bind the
+    counting method into their frames and drains.
+    """
+    counts = collections.Counter()
+    evict_foreign = Cache.evict_foreign
+
+    def counting(self, line, core_id, by_prefetch):
+        counts[(by_prefetch, line.prefetched and not line.referenced)] += 1
+        return evict_foreign(self, line, core_id, by_prefetch)
+
+    monkeypatch.setattr(Cache, "evict_foreign", counting)
+    return counts
+
+
+@pytest.mark.parametrize("case", CORUN_CASES,
+                         ids=[case[0] for case in CORUN_CASES])
+def test_corun_frame_matches_stepped(case, foreign_evictions):
+    _, overrides, workloads, scheme, ran = case
+    results = {}
+    for backend in ("stepped", "fused"):
+        foreign_evictions.clear()
+        spec = CoRunSpec.create(workloads, scheme,
+                                config=MachineConfig.scaled(**overrides),
+                                limit_refs=CORUN_REFS, backend=backend)
+        results[backend] = execute_corun(spec, solo_baseline=False).to_dict()
+    assert json.dumps(results["fused"], sort_keys=True) \
+        == json.dumps(results["stepped"], sort_keys=True)
+    assert ran(results["fused"], foreign_evictions)
+
+
+def test_corun_held_candidate_cleared_by_demand_fill():
+    spec = CoRunSpec.create(("ammp", "art"), "srp", limit_refs=2000)
+    fused = FusedMultiCoreSimulator(spec)
+    cleared = [0]
+    for cell in fused.cells:
+        count_cleared(cell.hierarchy, cleared)
+    fused.run()
+    assert cleared[0] > 0
+    stepped = MultiCoreSimulator(spec)
+    stepped.run()
+    assert corun_results(fused) == corun_results(stepped)
+
+
+def test_corun_lines_belong_to_their_core():
+    """What crediting useful prefetches to the accessing core rests on:
+    every shared L2 line is owned by the core whose address range holds
+    it."""
+    spec = CoRunSpec.create(("mcf", "ammp", "swim"), "grp",
+                            config=MachineConfig.scaled(l1_size=1024),
+                            limit_refs=CORUN_REFS)
+    fused = FusedMultiCoreSimulator(spec)
+    fused.run()
+    lines = [line for lines in fused.shared.l2._sets for line in lines]
+    assert {line.owner for line in lines} == {0, 1, 2}
+    assert all(line.owner == line.block // CORE_BASE_STRIDE
+               for line in lines)
+
+
+@pytest.mark.parametrize("overrides", [dict(mshr_entries=1),
+                                       dict(l1_size=1024), DIRECT_MAPPED],
+                         ids=["mshr1", "tiny-l1", "direct-mapped"])
+def test_one_core_corun_frame_matches_execute(overrides):
+    """The 1-core degenerate contract, with the frame counting into
+    slice 0 of the shared levels."""
+    config = MachineConfig.scaled(**overrides)
+    solo = execute(RunSpec.create("ammp", "srp", config=config,
+                                  limit_refs=CORUN_REFS))
+    corun = execute_corun(CoRunSpec.create(["ammp"], "srp", config=config,
+                                           limit_refs=CORUN_REFS),
+                          solo_baseline=False)
+    assert as_json(corun.cores[0]) == as_json(solo)

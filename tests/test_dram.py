@@ -85,3 +85,26 @@ class TestOpenPagePreference:
         dram.access(0x0, 0)
         assert dram.row_is_open(0x0)
         assert dram.row_is_open(0x80)  # same row
+
+
+class TestCoreSlices:
+    """Per-core counting on a shared DRAM: one slice per transfer."""
+
+    @pytest.mark.parametrize("transfer_cycles", [4, 0.1])
+    def test_busy_cycles_follow_each_slices_transfers(self, transfer_cycles):
+        dram = make_dram(transfer_cycles=transfer_cycles)
+        slices = dram.enable_core_stats(2)
+        kinds = ["demand", "prefetch", "writeback"]
+        running = [0, 0]
+        for i in range(13):
+            core = 1 if i < 10 else 0
+            dram.stats = slices[core]
+            dram.access(i * 0x40, now=i * 10, kind=kinds[i % 3])
+            running[core] += transfer_cycles
+        assert [s.demand_blocks for s in slices] == [1, 4]
+        assert [s.prefetch_blocks for s in slices] == [1, 3]
+        assert [s.writeback_blocks for s in slices] == [1, 3]
+        # Equal, not approximately: a non-integer transfer time is summed
+        # in the order a running total adds it (0.1 added ten times is
+        # not 0.1 * 10).
+        assert dram.core_busy_cycles == running

@@ -37,7 +37,7 @@ class TestMerging:
         mshrs = MSHRFile(4)
         mshrs.allocate(0x1000, ready=250, now=0)
         assert mshrs.lookup(0x1000, now=10) == 250
-        assert mshrs.merges == 1
+        assert mshrs.stats.merges == 1
 
     def test_lookup_misses_other_blocks(self):
         mshrs = MSHRFile(4)
@@ -61,7 +61,7 @@ class TestBackPressure:
         mshrs.allocate(0x1000, ready=500, now=0)
         mshrs.allocate(0x2000, ready=300, now=0)
         assert mshrs.earliest_free(10, record_stall=True) == 300
-        assert mshrs.stalls == 1
+        assert mshrs.stats.stalls == 1
 
     def test_probe_does_not_count_a_stall(self):
         # Regression: the prefetch controller probes earliest_free once
@@ -72,20 +72,20 @@ class TestBackPressure:
         mshrs.allocate(0x2000, ready=300, now=0)
         for _ in range(5):
             assert mshrs.earliest_free(10) == 300
-        assert mshrs.stalls == 0
+        assert mshrs.stats.stalls == 0
 
     def test_demand_path_counts_each_stall(self):
         mshrs = MSHRFile(1)
         mshrs.allocate(0x1000, ready=500, now=0)
         mshrs.earliest_free(10, record_stall=True)
         mshrs.earliest_free(20, record_stall=True)
-        assert mshrs.stalls == 2
+        assert mshrs.stats.stalls == 2
 
     def test_no_stall_recorded_when_free(self):
         mshrs = MSHRFile(2)
         mshrs.allocate(0x1000, ready=500, now=0)
         assert mshrs.earliest_free(10, record_stall=True) == 10
-        assert mshrs.stalls == 0
+        assert mshrs.stats.stalls == 0
 
     def test_mlp_bounded_by_entries(self):
         """At most `entries` fills can be overlapping at any instant."""
@@ -187,7 +187,7 @@ def drain_allocate(mshrs, block, ready, earliest):
     heapq.heappush(mshrs._heap, (ready, block))
     if ready < mshrs._min_ready:
         mshrs._min_ready = ready
-    mshrs.allocations += 1
+    mshrs.stats.allocations += 1
 
 
 class TestHeapAgainstNaiveModel:
@@ -202,7 +202,8 @@ class TestHeapAgainstNaiveModel:
     def check(self, mshrs, model, got, want):
         assert got == want and type(got) is type(want)
         assert mshrs._inflight == model.inflight
-        assert (mshrs.merges, mshrs.allocations, mshrs.stalls) \
+        stats = mshrs.stats
+        assert (stats.merges, stats.allocations, stats.stalls) \
             == (model.merges, model.allocations, model.stalls)
         if model.inflight:
             # A lower bound on the earliest completion, never above it.

@@ -98,10 +98,10 @@ class TestAttribution:
 
     def test_mshr_counters_sum(self, pair):
         mshrs = pair.shared.mshrs
-        assert sum(c.stalls for c in mshrs.core_stats) == mshrs.stalls
-        assert sum(c.merges for c in mshrs.core_stats) == mshrs.merges
+        assert sum(c.stalls for c in mshrs.core_stats) == mshrs.stats.stalls
+        assert sum(c.merges for c in mshrs.core_stats) == mshrs.stats.merges
         assert sum(c.allocations for c in mshrs.core_stats) == \
-            mshrs.allocations
+            mshrs.stats.allocations
 
     def test_address_spaces_disjoint(self, pair):
         bases = [cell.hierarchy.space.base for cell in pair.cells]

@@ -17,6 +17,10 @@ inlined in :meth:`~repro.cpu.core.Core.run_span`, and an L1 miss runs in
 one frame (``Hierarchy.demand_miss``): 998 of mcf's 2,646 calls without
 prefetching are that frame, one per L1 miss.  A call added per miss
 still fails the call budget; other regressions there add opcodes.
+``run_span`` also tests the controller's blocked-issue gate itself, so
+a reference that finds the held prefetch candidate still blocked makes
+no call.  The fused co-run loop replays through the same span and the
+same frame, and is gated on cells of the benchmark's ``corun`` workload.
 The second gate replays fixed cells under ``sys.settrace`` with
 ``frame.f_trace_opcodes`` set on ``repro`` frames and counts the
 bytecode instructions they execute: prefetch-free cells for the demand
@@ -55,17 +59,20 @@ REFS = 2000
 #: depth-0 candidates cut mcf/grp to 45,841, and replaying through the
 #: fused loop instead of the deleted ring walker (which called into it
 #: per event at every stretch boundary) cut both to 28,034 and 45,570.
-#: The one-frame demand miss cut them to the budgets below.  mcf/none
-#: gates the demand miss alone: 11,406 calls through the decomposed
-#: chain (L2 probe, MSHR file, DRAM and fills each a call).  The arena
-#: engines gaze and chase, which queue candidates from their L2 access
-#: and miss hooks, are gated on one prefetching cell each.
+#: The one-frame demand miss cut them to 14,756 and 36,742, and testing
+#: the blocked-issue gate in ``run_span`` (no ``issue_prefetches`` or
+#: ``gated_reclaim`` call while the held candidate stays blocked) to the
+#: budgets below.  mcf/none gates the demand miss alone: 11,406 calls
+#: through the decomposed chain (L2 probe, MSHR file, DRAM and fills
+#: each a call).  The arena engines gaze and chase, which queue
+#: candidates from their L2 access and miss hooks, are gated on one
+#: prefetching cell each (11,078 and 52,839 calls before the gate).
 BUDGETS = {
-    ("ammp", "srp"): (19944, 14756),
-    ("mcf", "grp"): (1803, 36742),
+    ("ammp", "srp"): (19944, 12202),
+    ("mcf", "grp"): (1803, 34088),
     ("mcf", "none"): (0, 2646),
-    ("applu", "gaze"): (632, 11078),
-    ("mcf", "chase"): (3463, 52839),
+    ("applu", "gaze"): (632, 11060),
+    ("mcf", "chase"): (3463, 51783),
 }
 
 #: (workload, scheme) -> budget of opcodes executed in repro frames for
@@ -73,23 +80,44 @@ BUDGETS = {
 #: are ``demand-bound`` benchmark cells without prefetching: streaming
 #: (swim, applu), L1-resident (art) and pointer-chasing (mcf).  Before
 #: the one-frame demand miss they ran 720,508, 1,537,903, 616,573 and
-#: 1,238,255 opcodes.  mcf/grp and ammp/srp gate the prefetch drain:
-#: disarming its blocked-issue cache adds opcodes there (+8.9% on
-#: mcf/grp) but no calls.
+#: 1,238,255 opcodes, and 610,493, 1,060,275, 534,221 and 920,599 after
+#: it.  mcf/grp and ammp/srp gate the prefetch drain: disarming its
+#: blocked-issue cache adds opcodes there (+8.9% on mcf/grp) but no
+#: calls.  They ran 3,093,721 and 11,409,018 opcodes before
+#: ``run_span`` tested the gate itself.
 OPCODE_BUDGETS = {
-    ("swim", "none"): 610493,
-    ("applu", "none"): 1060275,
-    ("art", "none"): 534221,
-    ("mcf", "none"): 920599,
-    ("mcf", "grp"): 3093721,
-    ("ammp", "srp"): 11409018,
+    ("swim", "none"): 610063,
+    ("applu", "none"): 1057653,
+    ("art", "none"): 533957,
+    ("mcf", "none"): 919136,
+    ("mcf", "grp"): 3036161,
+    ("ammp", "srp"): 11175457,
 }
 
 #: The ammp+art co-run under GRP (a cell of the benchmark's corun
 #: workload): (per-core prefetch fills, budget of repro calls) for the
-#: fused co-run loop at REFS references per core.
+#: fused co-run loop at REFS references per core.  Through the
+#: decomposed miss chain, with every gated reference calling
+#: ``issue_prefetches``, it made 33,267 calls.
 CORUN = (("ammp", "art"), "grp")
-CORUN_BUDGET = ((395, 94), 33267)
+CORUN_BUDGET = ((395, 94), 16403)
+
+#: The mcf+swim co-run without prefetching, the same way: every L1 miss
+#: is one call, where the decomposed chain made 14,688.
+CORUN_DEMAND = (("mcf", "swim"), "none")
+CORUN_DEMAND_BUDGET = ((0, 0), 3691)
+
+#: The benchmark's rush-hour mix: 18 cores over the shared levels.
+RUSH_HOUR = ("mcf", "swim", "art", "ammp", "equake", "mesa") * 3
+
+#: (workloads, scheme, refs per core) -> budget of opcodes executed in
+#: repro frames by the fused co-run loop, on Python 3.11.  Through the
+#: decomposed chain, with a call per gated reference and a counter
+#: flush after every span, they ran 2,777,057 and 13,334,586.
+CORUN_OPCODE_BUDGETS = {
+    (("ammp", "art"), "grp", REFS): 2266448,
+    (RUSH_HOUR, "srp", 500): 11948543,
+}
 
 PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 COMPREHENSIONS = {"<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>"}
@@ -218,9 +246,7 @@ def corun_results(simulator):
     }, sort_keys=True)
 
 
-def test_corun_calls_within_budget():
-    workloads, scheme = CORUN
-    fills, budget = CORUN_BUDGET
+def check_corun_calls(workloads, scheme, fills, budget):
     spec = CoRunSpec.create(workloads, scheme, limit_refs=REFS)
     fused = FusedMultiCoreSimulator(spec)  # builds the traces uncounted
     _, calls = counted(fused.run)
@@ -231,6 +257,34 @@ def test_corun_calls_within_budget():
         % ("+".join(workloads), scheme, calls, budget))
     # The counted co-run must agree with the stepped oracle byte for
     # byte.
+    stepped = MultiCoreSimulator(spec)
+    stepped.run()
+    assert corun_results(fused) == corun_results(stepped)
+
+
+def test_corun_calls_within_budget():
+    check_corun_calls(*CORUN, *CORUN_BUDGET)
+
+
+def test_corun_demand_calls_within_budget():
+    check_corun_calls(*CORUN_DEMAND, *CORUN_DEMAND_BUDGET)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="opcode budgets are recorded on Python 3.11")
+@pytest.mark.parametrize("cell", sorted(CORUN_OPCODE_BUDGETS, key=repr),
+                         ids=lambda cell: "%s/%s" % (
+                             "+".join(cell[0]) if len(cell[0]) <= 2
+                             else "rush-hour%d" % len(cell[0]), cell[1]))
+def test_corun_opcodes_within_budget(cell):
+    workloads, scheme, refs = cell
+    budget = CORUN_OPCODE_BUDGETS[cell]
+    spec = CoRunSpec.create(workloads, scheme, limit_refs=refs)
+    fused = FusedMultiCoreSimulator(spec)
+    _, opcodes = counted_opcodes(fused.run)
+    assert opcodes <= budget, (
+        "%d cores under %s: %d opcodes in repro frames for %d refs per "
+        "core, budget %d" % (len(workloads), scheme, opcodes, refs, budget))
     stepped = MultiCoreSimulator(spec)
     stepped.run()
     assert corun_results(fused) == corun_results(stepped)
