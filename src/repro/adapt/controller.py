@@ -2,9 +2,11 @@
 
 One :class:`AdaptiveController` is owned by one adaptive prefetch engine
 (see :mod:`repro.adapt.engines`) and created when the engine attaches to
-its hierarchy.  The CPU replay loops — both :meth:`Core.execute` and the
-fused :meth:`Core.run_span` — call :meth:`note_access` once per
-memory reference with the post-issue clock; every
+its hierarchy.  The CPU's two per-event bodies — the oracle
+:meth:`Core.step` (which :meth:`Core.execute` and the stepped co-run
+loop run) and the compiled :meth:`Core.run_span` — call
+:meth:`note_access` once per memory reference with the post-issue
+clock; every
 ``config.adapt_epoch_accesses`` references the controller closes an
 epoch: the :class:`~repro.adapt.monitor.FeedbackMonitor` produces a
 delta sample, the :class:`~repro.adapt.policy.ThrottlePolicy` decides,

@@ -32,17 +32,6 @@ class InductionInfo:
                 info.pointers[loop.ptr] = (loop, loop.step)
         return info
 
-    def loop_of_var(self, var):
-        entry = self.vars.get(var)
-        return entry[0] if entry else None
-
-    def step_of_var(self, var):
-        entry = self.vars.get(var)
-        return entry[1] if entry else None
-
-    def is_induction_pointer(self, ptr):
-        return ptr in self.pointers
-
     def pointer_step(self, ptr):
         entry = self.pointers.get(ptr)
         return entry[1] if entry else None

@@ -42,18 +42,6 @@ def statements_in(loop):
             yield stmt
 
 
-def inner_loops_between(ref_stack, outer_loop):
-    """Loops strictly inside ``outer_loop`` on the path to a reference.
-
-    ``ref_stack`` is the reference's enclosing-loop stack; the result is
-    the suffix of that stack after ``outer_loop``.
-    """
-    for pos, loop in enumerate(ref_stack):
-        if loop is outer_loop:
-            return ref_stack[pos + 1:]
-    raise ValueError("outer_loop is not on the reference's loop stack")
-
-
 def trip_count(loop):
     """Static trip count of a loop, or None when symbolic/unknown."""
     if isinstance(loop, ForLoop):

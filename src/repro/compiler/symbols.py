@@ -125,10 +125,6 @@ class StructDecl:
     def field(self, name):
         return self.fields[name]
 
-    def pointer_fields(self):
-        """All pointer-typed fields, in declaration order."""
-        return [f for f in self.fields.values() if f.is_pointer]
-
     def __repr__(self):
         return "StructDecl(%s, %d fields, %dB)" % (
             self.name, len(self.fields), self.size,

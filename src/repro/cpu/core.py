@@ -16,8 +16,11 @@ Properties captured:
 * once the window wraps around to an incomplete load, issue stalls until
   its data returns — the L2-miss serialization that prefetching attacks.
 
-Two replay entry points execute a trace: :meth:`Core.execute` consumes a
-stream of event objects, :meth:`Core.execute_compiled` iterates a
+A trace replays through one of two per-event bodies.  The oracle,
+:meth:`Core.step`, replays one event object: :meth:`Core.execute` loops
+over it for single-core reference runs, and the stepped co-run loop
+calls it under its arbiter.  The compiled replay,
+:meth:`Core.execute_compiled`, iterates a
 :class:`~repro.trace.compiled.CompiledTrace`'s columns directly.  They
 issue the identical instruction sequence — the differential tests assert
 their statistics byte-for-byte equal.
@@ -42,29 +45,13 @@ first: all hold one value, whose candidate ``fill + (count - d) / width``
 can only fall with depth ``d`` (IEEE rounding is monotone), so the
 depth-0 term stands for all of them and only the written slots need a
 scan.  The result is the full scan's, at any issue width or latency.
-Writers of the ring outside ``run_span`` (the oracle loops
-:meth:`Core.execute` and :meth:`Core.step`) set ``_since = window``,
-which sends the next batch to the full scan.
+The oracle body :meth:`Core.step` writes the ring without keeping the
+pair, so :meth:`Core.begin_stepping` sets ``_since = window``, which
+sends the next batch to the full scan.
 """
 
-from repro.trace.compiled import K_BOUND, K_OPS, K_SETBASE, K_STORE
-from repro.trace.events import (
-    IndirectPrefetch,
-    LoopBound,
-    MemRef,
-    Ops,
-    SetIndirectBase,
-)
-
-
-def _directive_event(kind, a, b, c):
-    """Rebuild a directive event object from its compiled columns."""
-    if kind == K_BOUND:
-        return LoopBound(a)
-    if kind == K_SETBASE:
-        return SetIndirectBase(a, b)
-    return IndirectPrefetch(a, b, c)
-
+from repro.trace.compiled import K_OPS, K_STORE, decode_directive
+from repro.trace.events import MemRef, Ops
 
 _INF = float("inf")
 
@@ -186,49 +173,20 @@ class Core:
 
     # ------------------------------------------------------------------
     def execute(self, events, limit_refs=None):
-        """Run a trace; returns the final cycle count.
+        """Run a trace through :meth:`step`; return the final cycle count.
 
         ``events`` yields MemRef / Ops / directive records (see
         :mod:`repro.trace.events`).  ``limit_refs`` optionally truncates the
         run after that many memory references.
         """
+        self.begin_stepping()
+        step = self.step
         refs = 0
-        self._since = self.window  # _issue/_issue_ops do not keep the pair
-        hierarchy = self.hierarchy
-        access = hierarchy.access
-        table = self.hint_table
-        inv_width = self.inv_width
-        adapt = getattr(hierarchy, "adapt", None)
-        note_access = adapt.note_access if adapt is not None else None
         for event in events:
-            etype = event.__class__
-            if etype is MemRef:
-                hint = table.get(event.ref_id) if table is not None else None
-                issue_at = max(self._clock, self._ring[self._head])
-                ready = access(
-                    event.addr, issue_at,
-                    is_store=event.is_store,
-                    ref_id=event.ref_id, hint=hint,
-                )
-                latency = ready - issue_at
-                before = self._clock
-                self._issue(latency)
-                self.load_stall_cycles += max(0.0, self._clock - before - inv_width)
+            if step(event):
                 refs += 1
-                if note_access is not None:
-                    # Adaptive epoch check: counts this reference and, on
-                    # a boundary, samples/adjusts with the post-issue
-                    # clock (execute_compiled mirrors this exactly).
-                    note_access(self._clock)
                 if limit_refs is not None and refs >= limit_refs:
                     break
-            elif etype is Ops:
-                self._issue_ops(event.count)
-            else:
-                # Software directive: one instruction of overhead plus the
-                # message to the prefetch engine.
-                completion = self._issue(1.0)
-                hierarchy.directive(event, completion)
         return self.cycles
 
     def execute_compiled(self, trace, limit_refs=None):
@@ -412,7 +370,7 @@ class Core:
                         load_stall += s
                     if note_access is not None:
                         # Adaptive epoch check at the same point, with
-                        # the same post-issue clock, as execute() — the
+                        # the same post-issue clock, as step() — the
                         # boundary reads only counters both paths update
                         # identically, preserving fast==slow equivalence.
                         note_access(clock)
@@ -491,7 +449,7 @@ class Core:
                             since += count
                         instructions += count
                 else:
-                    event = _directive_event(kind, f0[pos], f1[pos], f2[pos])
+                    event = decode_directive(kind, f0[pos], f1[pos], f2[pos])
                     # _issue(1.0), inlined (e is still ring[head]).
                     c = clock + inv
                     if e > c:
@@ -534,16 +492,14 @@ class Core:
         return pos
 
     # ------------------------------------------------------------------
-    # Externally-driven stepping (the multi-core replay loop)
+    # The oracle body: one event per step (single-core reference runs
+    # through execute, the stepped co-run loop directly)
     # ------------------------------------------------------------------
     def begin_stepping(self):
-        """Bind the per-step call targets before external stepping.
+        """Bind the per-step call targets before the first :meth:`step`.
 
-        :meth:`step` replays one event per call under an outer arbitration
-        loop (see :mod:`repro.sim.multicore`); binding the hierarchy's
-        ``access`` and the adaptive ``note_access`` hook once here mirrors
-        the hoisting :meth:`execute` does at loop entry, so a 1-core
-        stepped replay issues the identical operation sequence.
+        Binds the hierarchy's ``access`` and the adaptive ``note_access``
+        hook once, for every later step.
         """
         self._step_access = self.hierarchy.access
         self._since = self.window  # step() does not keep the ring pair
@@ -553,7 +509,7 @@ class Core:
     def next_issue_at(self):
         """Cycle at which this core's next instruction would issue.
 
-        ``max(clock, ring[head])`` — the same expression :meth:`execute`
+        ``max(clock, ring[head])`` — the same expression :meth:`step`
         computes for a memory reference's issue time; the multi-core
         arbiter uses it to pick which core steps next.
         """
@@ -566,10 +522,11 @@ class Core:
     def step(self, event):
         """Replay one trace event; return True for a memory reference.
 
-        Replicates :meth:`execute`'s per-event body operation for
-        operation (the 1-core degenerate co-run is compared byte for byte
-        against ``execute``), with the caller owning the reference count
-        and termination.  :meth:`begin_stepping` must run first.
+        The oracle's per-event body.  :meth:`execute` loops over it for
+        a single-core reference run, and the stepped co-run loop
+        (:mod:`repro.sim.multicore`) calls it under its arbiter; each
+        caller owns the reference count and termination.
+        :meth:`begin_stepping` must run first.
         """
         etype = event.__class__
         if etype is MemRef:

@@ -197,10 +197,6 @@ class Cache:
         self.interference = None
 
     # ------------------------------------------------------------------
-    def _set_index(self, block):
-        return (block >> self._block_shift) & self._set_mask
-
-    # ------------------------------------------------------------------
     def access(self, addr, is_store=False):
         """Demand access to the block containing ``addr``.
 

@@ -148,13 +148,6 @@ class DRAMSystem:
         """Channel serving ``block_addr`` (block-interleaved)."""
         return (block_addr >> self._block_shift) % self._channels
 
-    def bank_of(self, block_addr):
-        """Bank within the channel serving ``block_addr``."""
-        return (
-            (block_addr >> self._block_shift) // self._channels
-            // self._blocks_per_row
-        ) % self._banks
-
     def row_of(self, block_addr):
         """Row id of ``block_addr`` within its bank."""
         return (

@@ -100,11 +100,6 @@ class MachineConfig:
         params.update(overrides)
         return cls(**params)
 
-    # ------------------------------------------------------------------
-    @property
-    def blocks_per_region(self):
-        return self.region_size // self.block_size
-
     def replace(self, **overrides):
         """Return a copy with selected fields overridden."""
         params = dict(

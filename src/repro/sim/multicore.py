@@ -41,7 +41,10 @@ Degenerate case
     A 1-core co-run issues the identical operation sequence as the
     single-core engine: ``execute_corun(CoRunSpec.create([w], s))`` is
     byte-identical (``RunResult.to_dict()``) to
-    ``execute(RunSpec.create(w, s))``.  The tests pin this contract.
+    ``execute(RunSpec.create(w, s))``.  Both are set up by
+    :func:`repro.sim.runner.prepare`, and the stepped loop runs
+    :meth:`~repro.cpu.core.Core.step`, the body the single-core
+    reference path loops over.  The tests pin this contract.
 """
 
 from repro.cpu.core import Core
@@ -50,7 +53,7 @@ from repro.mem.dram import DRAMSystem
 from repro.mem.hierarchy import Hierarchy
 from repro.mem.mshr import MSHRFile
 from repro.sim.stats import CoRunResult, SimStats, geometric_mean
-from repro.trace.interp import Interpreter
+from repro.trace.store import default_store
 from repro.workloads.base import get_workload
 
 #: Stride between consecutive cores' address-space bases.  Large enough
@@ -180,81 +183,47 @@ class CoreCell:
 
     Owns the core model, its private-L1 hierarchy bound to the shared
     levels, the workload's trace, and the labels its
-    :class:`~repro.sim.stats.SimStats` will carry.
+    :class:`~repro.sim.stats.SimStats` will carry.  Set-up is the
+    single-core run's, :func:`repro.sim.runner.prepare`, with the
+    workload built at the cell's address-space ``base``.
 
     ``compiled`` selects the trace form: the default builds the
     interpreter's event-stream generator (``self.events``) the stepped
-    reference loop consumes; ``compiled=True`` builds the columnar
+    reference loop consumes; ``compiled=True`` gets the columnar
     :class:`~repro.trace.compiled.CompiledTrace` (``self.trace``) the
-    fused loop iterates, through the process-wide trace store — keyed
-    with the cell's address-space ``base``, so core 0 shares entries
-    with single-core runs and higher cores get their own.
+    fused loop iterates, through the process-wide trace store.  The key
+    carries ``base``, so core 0 shares its entry with the single-core
+    run of the same cell and higher cores get their own.
     """
 
     def __init__(self, cell_spec, core_id, shared, config, compiled=False):
         # Late import: runner imports spec/stats, and the experiment layer
         # imports us — mirror RunSpec.create's cycle-breaking pattern.
-        from repro.sim.runner import SCHEMES, _built_workload, _compile
+        from repro.sim.runner import SCHEMES, prepare, scheme_label
 
         workload = get_workload(cell_spec.workload)
         scheme_spec = SCHEMES[cell_spec.scheme]
-        base = core_id * CORE_BASE_STRIDE
-        space, built, program = _built_workload(
-            workload, cell_spec.scale, cacheable=True, base=base)
-        if scheme_spec.hinted:
-            result = _compile(program, scheme_spec, config, cell_spec.policy,
-                              build_key=(workload.name, cell_spec.scale, base))
-            hint_table = result.hint_table
-            compile_for_trace = result
-        else:
-            result = None
-            hint_table = None
-            compile_for_trace = None
-        prefetcher = scheme_spec.factory(result)
+        space, result, key, build_interp = prepare(
+            workload, scheme_spec, config, cell_spec.policy, cell_spec.scale,
+            cell_spec.seed, cell_spec.limit_refs,
+            base=core_id * CORE_BASE_STRIDE)
         self.core_id = core_id
         self.workload_name = workload.name
-        self.scheme_label = (
-            cell_spec.scheme if cell_spec.mode == "real"
-            else "%s/%s" % (cell_spec.scheme, cell_spec.mode))
+        self.scheme_label = scheme_label(cell_spec.scheme, cell_spec.mode)
         self.hierarchy = Hierarchy(
-            config, space, prefetcher, mode=cell_spec.mode,
+            config, space, scheme_spec.factory(result), mode=cell_spec.mode,
             shared=shared, core_id=core_id)
-        self.core = Core(config, self.hierarchy, hint_table,
+        self.core = Core(config, self.hierarchy,
+                         result.hint_table if result is not None else None,
                          core_id=core_id)
-        interp = Interpreter(
-            program, space, compile_for_trace, seed=cell_spec.seed,
-            block_size=config.block_size, ops_scale=workload.ops_scale,
-        )
-        for name, addr in built.pointer_bindings.items():
-            interp.bind_pointer(name, addr)
-        limit = (cell_spec.limit_refs if cell_spec.limit_refs is not None
-                 else workload.default_refs)
         if compiled:
-            # Columnar trace through the process-wide store, mirroring
-            # runner._simulate's keying — including the hint signature,
-            # because hinted traces embed directives — plus the cell's
-            # base so per-core streams never alias across cores.
-            from repro.trace.store import (
-                TraceKey, default_store, hint_signature,
-            )
-
-            hint_sig = (
-                hint_signature(cell_spec.policy,
-                               scheme_spec.variable_regions,
-                               scheme_spec.indirect_mode,
-                               config.l2_size)
-                if scheme_spec.hinted else None
-            )
-            key = TraceKey(workload.name, cell_spec.scale, cell_spec.seed,
-                           limit, config.block_size, hint_sig,
-                           base=core_id * CORE_BASE_STRIDE)
             self.trace = default_store().get_or_build(
-                key, lambda: interp.run_columns(limit))
+                key, lambda: build_interp().run_columns(key.limit))
             self.events = None
         else:
             #: The cell's trace event stream (the interpreter enforces
             #: the reference limit, as the single-core reference loop).
-            self.events = interp.run(limit=limit)
+            self.events = build_interp().run(limit=key.limit)
             self.trace = None
 
 

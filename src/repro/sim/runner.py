@@ -6,6 +6,11 @@ The engine entry point is :func:`execute`, which takes a frozen
 the workload in a fresh address space, compiles hints when the scheme
 uses them, generates the trace, and simulates it.
 
+The set-up half of that — build, compile, trace key, interpreter — is
+:func:`prepare`, which co-run cells
+(:class:`~repro.sim.multicore.CoreCell`) call too, with their own
+address-space base; one set-up serves both replay settings.
+
 ``run_workload("swim", "grp")`` remains as a thin convenience shim that
 constructs the RunSpec and calls :func:`execute`.
 
@@ -342,11 +347,62 @@ def replay_key(spec):
     scheme_spec = SCHEMES[spec.scheme]
     if not scheme_spec.hinted:
         return spec
-    _, _, program = _built_workload(get_workload(spec.workload), spec.scale,
-                                    True)
-    result = _compile(program, scheme_spec, spec.machine_config(),
-                      spec.policy, build_key=(spec.workload, spec.scale, 0))
+    _, result, _, _ = prepare(
+        get_workload(spec.workload), scheme_spec, spec.machine_config(),
+        spec.policy, spec.scale, spec.seed, spec.limit_refs)
     return dataclasses.replace(spec, policy=result.fingerprint())
+
+
+def scheme_label(scheme, mode):
+    """A run's scheme column: the scheme, tagged with a non-real mode."""
+    return scheme if mode == "real" else "%s/%s" % (scheme, mode)
+
+
+def prepare(workload, scheme_spec, config, policy, scale, seed, limit_refs,
+            cacheable=True, base=0):
+    """Set up one core's replay; return ``(space, result, key, build_interp)``.
+
+    Builds ``workload`` in an address space based at ``base`` (through
+    :data:`_BUILD_CACHE` when ``cacheable``), compiles hints when the
+    scheme is hinted (``result`` is the
+    :class:`~repro.compiler.driver.CompileResult`, else None), and names
+    the trace in a :class:`~repro.trace.store.TraceKey` whose ``limit``
+    is ``limit_refs`` or the workload's default.  ``build_interp()``
+    makes a fresh :class:`~repro.trace.interp.Interpreter` for the
+    trace, so a trace-store hit never builds one.  Single-core runs
+    (base 0) and each co-run core share this set-up, so core 0 of a
+    co-run keys the store exactly like the single-core run.
+    """
+    space, built, program = _built_workload(workload, scale, cacheable, base)
+    # Only hinted schemes consume compiler output; skipping the compiler
+    # for none/stride/srp/pointer saves all its pass time on runs that
+    # would discard the result anyway.
+    if scheme_spec.hinted:
+        result = _compile(program, scheme_spec, config, policy,
+                          build_key=(workload.name, scale, base) if cacheable
+                          else None)
+        hint_sig = hint_signature(policy, scheme_spec.variable_regions,
+                                  scheme_spec.indirect_mode, config.l2_size)
+    else:
+        result = None
+        hint_sig = None
+    limit = limit_refs if limit_refs is not None else workload.default_refs
+    key = TraceKey(workload.name, scale, seed, limit, config.block_size,
+                   hint_sig, base=base)
+
+    def build_interp():
+        # The interpreter only *reads* the address space, so the trace can
+        # be generated eagerly (or loaded from the store) without changing
+        # the space state the prefetchers observe during simulation.
+        interp = Interpreter(
+            program, space, result, seed=seed,
+            block_size=config.block_size, ops_scale=workload.ops_scale,
+        )
+        for name, addr in built.pointer_bindings.items():
+            interp.bind_pointer(name, addr)
+        return interp
+
+    return space, result, key, build_interp
 
 
 def _simulate(workload, scheme, scheme_spec, config, mode, policy,
@@ -355,61 +411,29 @@ def _simulate(workload, scheme, scheme_spec, config, mode, policy,
     # Reference runs rebuild from scratch so a (hypothetical) mutation of
     # shared build state by the fast path could not escape the
     # differential comparison.
-    shared = cacheable and not reference
-    space, built, program = _built_workload(workload, scale, shared)
-
-    # Only hinted schemes consume compiler output; skipping the compiler
-    # for none/stride/srp/pointer saves all its pass time on runs that
-    # would discard the result anyway.
-    if scheme_spec.hinted:
-        result = _compile(program, scheme_spec, config, policy,
-                          build_key=(workload.name, scale, 0) if shared
-                          else None)
-        hint_table = result.hint_table
-        compile_for_trace = result
-        hint_sig = hint_signature(policy, scheme_spec.variable_regions,
-                                  scheme_spec.indirect_mode, config.l2_size)
-    else:
-        result = None
-        hint_table = None
-        compile_for_trace = None
-        hint_sig = None
+    cacheable = cacheable and not reference
+    space, result, key, build_interp = prepare(
+        workload, scheme_spec, config, policy, scale, seed, limit_refs,
+        cacheable)
     prefetcher = scheme_spec.factory(result)
-
-    def build_interp():
-        # The interpreter only *reads* the address space, so the trace can
-        # be generated eagerly (or loaded from the store) without changing
-        # the space state the prefetchers observe during simulation.
-        interp = Interpreter(
-            program, space, compile_for_trace, seed=seed,
-            block_size=config.block_size, ops_scale=workload.ops_scale,
-        )
-        for name, addr in built.pointer_bindings.items():
-            interp.bind_pointer(name, addr)
-        return interp
-
-    limit = limit_refs if limit_refs is not None else workload.default_refs
-    label = scheme if mode == "real" else "%s/%s" % (scheme, mode)
+    label = scheme_label(scheme, mode)
     sink = TraceSink(trace_path) if trace_path is not None else None
     try:
         sim = Simulator(config, space, prefetcher, mode=mode,
-                        hint_table=hint_table, trace_sink=sink,
-                        reference=reference)
+                        hint_table=(result.hint_table if result is not None
+                                    else None),
+                        trace_sink=sink, reference=reference)
         if reference:
-            return sim.run(build_interp().run(limit=limit),
+            return sim.run(build_interp().run(limit=key.limit),
                            workload=workload.name, scheme=label)
         if cacheable:
             # Schemes sharing a key — every unhinted one, plus hinted
             # schemes whose compiles coincide — share one trace
             # generation per process, and across processes via disk.
-            key = TraceKey(workload.name, scale, seed, limit,
-                           config.block_size, hint_sig)
             trace = default_store().get_or_build(
-                key,
-                lambda: build_interp().run_columns(limit),
-            )
+                key, lambda: build_interp().run_columns(key.limit))
         else:
-            trace = build_interp().run_columns(limit)
+            trace = build_interp().run_columns(key.limit)
         return sim.run_compiled(trace, workload=workload.name, scheme=label,
                                 backend=resolve_backend(backend))
     finally:

@@ -81,6 +81,15 @@ _FIELD_WIDTH = 8
 _SWAP = sys.byteorder == "big"
 
 
+def decode_directive(kind, f0, f1, f2):
+    """The directive event one row of a kind above ``K_OPS`` encodes."""
+    if kind == K_BOUND:
+        return LoopBound(f0)
+    if kind == K_SETBASE:
+        return SetIndirectBase(f0, f1)
+    return IndirectPrefetch(f0, f1, f2)
+
+
 def _column_bytes(arr, width, swap):
     """``arr``'s bytes in little-endian order, ``width`` bytes/element."""
     if arr.itemsize != width:
@@ -192,12 +201,8 @@ class CompiledTrace:
                              is_store=(kind == K_STORE))
             elif kind == K_OPS:
                 yield Ops(f0[i])
-            elif kind == K_BOUND:
-                yield LoopBound(f0[i])
-            elif kind == K_SETBASE:
-                yield SetIndirectBase(f0[i], f1[i])
             else:
-                yield IndirectPrefetch(f0[i], f1[i], f2[i])
+                yield decode_directive(kind, f0[i], f1[i], f2[i])
 
     def resolve_hints(self, hint_table):
         """Per-ref-index hint list: ``hints[f0[i]]`` replaces a dict get."""

@@ -256,10 +256,6 @@ class TraceStore:
         while len(self._memory) > self.max_memory_traces:
             self._memory.popitem(last=False)
 
-    def clear_memory(self):
-        """Drop every in-process entry (disk entries are untouched)."""
-        self._memory.clear()
-
     def __len__(self):
         return len(self._memory)
 

@@ -13,11 +13,11 @@ from repro.metrics.sink import TraceSink
 from repro.prefetch.grp import GRPPrefetcher
 from repro.prefetch.srp import SRPPrefetcher
 from repro.prefetch.stride import StridePrefetcher
+from repro.sim import runner
 from repro.sim.config import MachineConfig
 from repro.sim.runner import SCHEMES, execute, resolve_backend
 from repro.sim.simulator import Simulator
 from repro.sim.spec import RunSpec
-from repro.trace.interp import Interpreter
 from repro.workloads import get_workload
 
 
@@ -224,17 +224,12 @@ class TestBlockedIssueCache:
 
 def build(workload_name, scheme, reference, config):
     """A fresh simulator for ``workload_name`` and its trace interpreter."""
-    workload = get_workload(workload_name)
-    space = AddressSpace()
-    built = workload.build(space)
-    interp = Interpreter(built.program.finalize(), space, None,
-                         block_size=config.block_size,
-                         ops_scale=workload.ops_scale)
-    for name, addr in built.pointer_bindings.items():
-        interp.bind_pointer(name, addr)
-    sim = Simulator(config, space, SCHEMES[scheme].factory(None),
+    space, compiled, _, build_interp = runner.prepare(
+        get_workload(workload_name), SCHEMES[scheme], config, "default",
+        1.0, 12345, None, cacheable=False)
+    sim = Simulator(config, space, SCHEMES[scheme].factory(compiled),
                     reference=reference)
-    return sim, interp
+    return sim, build_interp()
 
 
 class TestDrainHooks:

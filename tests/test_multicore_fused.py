@@ -8,6 +8,7 @@ TLB-enabled configs.  Also covered: ``CoRunSpec.backend`` digest
 sensitivity and serialization, and the backend resolution rules.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -15,10 +16,13 @@ import pytest
 
 from repro.experiments.corun import CORUN_BENCHMARKS
 from repro.sim.config import MachineConfig
-from repro.sim.multicore import MultiCoreSimulator, execute_corun
+from repro.sim.multicore import (
+    CORE_BASE_STRIDE, MultiCoreSimulator, execute_corun,
+)
 from repro.sim.multicore_fused import FusedMultiCoreSimulator
-from repro.sim.runner import resolve_corun_backend
+from repro.sim.runner import execute, resolve_corun_backend
 from repro.sim.spec import CORUN_BACKENDS, CoRunSpec
+from repro.trace import store as trace_store
 
 #: Small per-core trace length: long enough to exercise shared-L2
 #: contention, prefetch traffic, and cross-core pollution; short enough
@@ -185,3 +189,31 @@ class TestBackendResolution:
     def test_unknown_pin_raises(self):
         with pytest.raises(ValueError):
             resolve_corun_backend("warp")
+
+
+class TestSharedTraceKeys:
+    """Co-run cells and single-core runs share one set-up
+    (``runner.prepare``), so they key the trace store alike."""
+
+    def test_core_zero_shares_the_single_core_entry(self, monkeypatch):
+        store = trace_store.TraceStore(disk_dir=False)
+        monkeypatch.setattr(trace_store, "_default_store", store)
+        keys = []
+        get_or_build = store.get_or_build
+
+        def recording(key, builder):
+            keys.append(key)
+            return get_or_build(key, builder)
+
+        monkeypatch.setattr(store, "get_or_build", recording)
+        # Two replicas of one hinted cell: the keys carry a hint
+        # signature, and differ only where the cores differ.
+        spec = CoRunSpec.create(["mcf", "mcf"], "grp", limit_refs=REFS)
+        FusedMultiCoreSimulator(spec)
+        assert (store.misses, store.memory_hits) == (2, 0)
+        execute(spec.cells[0])
+        assert (store.misses, store.memory_hits) == (2, 1)
+        core0, core1, solo = keys
+        assert solo == core0
+        assert core0.base == 0 and core0.hint_sig is not None
+        assert core1 == dataclasses.replace(core0, base=CORE_BASE_STRIDE)

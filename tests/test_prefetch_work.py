@@ -38,16 +38,14 @@ import types
 import pytest
 
 import repro
-from repro.compiler.driver import compile_hints
 from repro.mem.controller import PrefetchRequest
-from repro.mem.space import AddressSpace
 from repro.prefetch.base import Prefetcher
+from repro.sim import runner
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.multicore_fused import FusedMultiCoreSimulator
 from repro.sim.runner import SCHEMES, execute, resolve_backend
 from repro.sim.simulator import Simulator
 from repro.sim.spec import CoRunSpec, RunSpec
-from repro.trace.interp import Interpreter
 from repro.workloads import get_workload
 
 REFS = 2000
@@ -126,23 +124,11 @@ COMPREHENSIONS = {"<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>"}
 def prepare(spec):
     """Build, compile and trace ``spec`` outside the counted region."""
     config = spec.machine_config()
-    workload = get_workload(spec.workload)
     scheme = SCHEMES[spec.scheme]
-    space = AddressSpace()
-    built = workload.build(space, scale=spec.scale)
-    program = built.program.finalize()
-    compiled = None
-    if scheme.hinted:
-        compiled = compile_hints(
-            program, l2_size=config.l2_size, block_size=config.block_size,
-            policy=spec.policy, variable_regions=scheme.variable_regions,
-            indirect_mode=scheme.indirect_mode)
-    interp = Interpreter(program, space, compiled, seed=spec.seed,
-                         block_size=config.block_size,
-                         ops_scale=workload.ops_scale)
-    for name, addr in built.pointer_bindings.items():
-        interp.bind_pointer(name, addr)
-    trace = interp.run_columns(spec.limit_refs)
+    space, compiled, key, build_interp = runner.prepare(
+        get_workload(spec.workload), scheme, config, spec.policy,
+        spec.scale, spec.seed, spec.limit_refs, cacheable=False)
+    trace = build_interp().run_columns(key.limit)
     sim = Simulator(config, space, scheme.factory(compiled),
                     hint_table=compiled.hint_table if compiled else None)
     return sim, trace

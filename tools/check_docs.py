@@ -1,4 +1,4 @@
-"""CI gate: docstring coverage and scheme-doc freshness.
+"""CI gate: docstring coverage, scheme-doc freshness, uncalled code.
 
 Part 1 walks every module under ``src/repro/`` with :mod:`ast` (no
 imports, so a module with a syntax error or heavy import side effects
@@ -22,6 +22,17 @@ Part 2 keeps the scheme documentation honest against the registry
 * both CLIs must *derive* their scheme enumerations from the registry
   (``sorted(SCHEMES)`` in the source), not restate them in prose.
 
+Part 3 keeps code that nothing calls from coming back: a ``def`` or
+``class`` anywhere under ``src/repro/`` (methods and nested functions
+included) fails when its name, as a whole word, appears in no Python
+file under ``src/``, ``tests/``, ``tools/``, ``benchmarks/`` or
+``examples/`` other than at definitions of that name.  Dunders are
+exempt (the language calls them), as are the definitions dispatched by
+name, listed in :data:`DISPATCHED`: ``trace/codegen.py``'s ``_<Node>``
+statement handlers (looked up as ``"_" + type(stmt).__name__``) and the
+``@register``-decorated workload classes (looked up in the registry by
+their ``name``).
+
 Exit status is nonzero on any violation, listing every offender so the
 fix is one pass.
 
@@ -33,7 +44,9 @@ Usage::
 
 import argparse
 import ast
+import collections
 import os
+import re
 import sys
 
 #: Required docstring coverage per definition kind.
@@ -89,6 +102,66 @@ def scan_module(dotted, path):
                 rows.append(("function", "%s.%s" % (dotted, node.name),
                              ast.get_docstring(node) is not None))
     return rows
+
+
+#: Directories whose Python files count as uses of a ``src/`` definition.
+CALLER_DIRS = ("src", "tests", "tools", "benchmarks", "examples")
+
+#: Definitions reached by name lookup, not by their name in source:
+#: (path under ``src/repro/``, name pattern) pairs, plus the decorator
+#: that registers a class by its ``name`` attribute.
+DISPATCHED = ((os.path.join("trace", "codegen.py"), re.compile(r"_[A-Z]")),)
+REGISTERING_DECORATOR = "register"
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def iter_python_files(repo):
+    """Yield every .py path under the :data:`CALLER_DIRS` of ``repo``."""
+    for top in CALLER_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(repo, top)):
+            dirnames[:] = sorted(name for name in dirnames
+                                 if not name.startswith(".")
+                                 and name != "__pycache__")
+            for filename in sorted(filenames):
+                if filename.endswith(".py"):
+                    yield os.path.join(dirpath, filename)
+
+
+def is_dispatched(rel, node):
+    """True for a definition found by name lookup (see :data:`DISPATCHED`)."""
+    for path, pattern in DISPATCHED:
+        if rel == path and pattern.match(node.name):
+            return True
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(dec, ast.Name) and dec.id == REGISTERING_DECORATOR
+        for dec in node.decorator_list)
+
+
+def find_uncalled(repo, root):
+    """``path:line: name`` for each definition under ``root`` whose name
+    appears nowhere in the caller files but at definitions."""
+    mentions = collections.Counter()
+    definitions = collections.Counter()
+    candidates = []
+    for path in iter_python_files(repo):
+        with open(path) as handle:
+            source = handle.read()
+        mentions.update(_IDENTIFIER.findall(source))
+        in_root = os.path.commonpath([path, root]) == root
+        for node in ast.walk(ast.parse(source, filename=path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                definitions[node.name] += 1
+                if in_root:
+                    candidates.append((os.path.relpath(path, root), node))
+    return [
+        "%s:%d: %s" % (rel, node.lineno, node.name)
+        for rel, node in candidates
+        if mentions[node.name] <= definitions[node.name]
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not is_dispatched(rel, node)
+    ]
 
 
 def check_scheme_docs(repo):
@@ -189,6 +262,14 @@ def main(argv=None):
     else:
         print("scheme docs: docs/SCHEMES.md fresh; README and CLIs track "
               "the registry")
+
+    uncalled = find_uncalled(repo, os.path.abspath(args.root))
+    if uncalled:
+        failed = True
+        for entry in uncalled:
+            print("uncalled definition: %s" % entry)
+    else:
+        print("uncalled definitions: none")
 
     if failed:
         print("docs check FAILED", file=sys.stderr)
