@@ -206,7 +206,8 @@ class Core:
 
         Built once per (core, trace) and passed to every span: the
         trace's columns, hints resolved per static reference id, the
-        hierarchy's bound methods, its memory controller, its L1-miss
+        hierarchy's bound methods, its memory controller, its prefetch
+        candidate source (``Hierarchy._candidates``), its L1-miss
         handler (:attr:`~repro.mem.hierarchy.Hierarchy.demand_miss`: the
         one-frame handler for single-core runs and fused co-run cores
         alike), and the L1 internals the inline probe touches.
@@ -231,7 +232,7 @@ class Core:
             l1._index, l1._sets, l1._block_shift, l1._set_mask, l1.stats,
             hierarchy._block_mask, hierarchy.stats, metrics,
             metrics.series, hierarchy.controller,
-            hierarchy._has_candidates, hierarchy.demand_miss,
+            hierarchy._candidates, hierarchy.demand_miss,
             adapt.note_access if adapt is not None else None,
         )
 
@@ -258,7 +259,11 @@ class Core:
         ``MemoryController.gated_reclaim``, so the span runs that MSHR
         reclaim inline and makes no call.  ``has_candidates()`` stays
         the first test: with the queue empty no ``issue_prefetches``
-        call is made, so no reclaim may run, gate armed or not.
+        call is made, so no reclaim may run, gate armed or not.  It is
+        read inline as the region or pending queue's state,
+        ``_held is not None or _entries`` (the hierarchy's
+        ``_candidates``; an engine without such a queue is wrapped so
+        that the read makes its call).
 
         The inlined paths count loads, stores and L1 misses in span
         locals and add them, with the L1 accesses and hits they imply,
@@ -273,7 +278,7 @@ class Core:
         (kinds, f0, f1, f2, hints, ref_names, n_events, general, access,
          directive, perfect_l1, l1_latency, l1_index, l1_sets, l1_shift,
          l1_set_mask, l1_stats, block_mask, hstats, metrics, series,
-         controller, has_candidates, miss_path, note_access) = ctx
+         controller, candidates, miss_path, note_access) = ctx
         window = self.window
         inv = self.inv_width
         ring = self._ring
@@ -311,7 +316,10 @@ class Core:
                             n_stores += 1
                         else:
                             n_loads += 1
-                        if has_candidates is not None and has_candidates():
+                        # has_candidates(), as the queue's state read.
+                        if candidates is not None and (
+                                candidates._held is not None
+                                or candidates._entries):
                             if now > controller._blocked_until:
                                 controller.issue_prefetches(now)
                             else:

@@ -255,10 +255,11 @@ class Cache:
     def resident_map(self):
         """Live mapping whose keys are the resident block addresses.
 
-        Residency-probe-heavy callers (the prefetch queues test every
-        block of a region at allocation) use ``block in resident_map``
-        directly instead of a :meth:`contains_block` call per block.
-        Callers must treat the mapping as read-only.
+        Residency-probe-heavy callers use it instead of a
+        :meth:`contains_block` call per block: the region queue
+        intersects its keys with a new region's block range, and the
+        explicit-block paths test ``block in resident_map``.  Callers
+        must treat the mapping as read-only.
         """
         return self._index
 

@@ -20,6 +20,7 @@ so that a demand access arriving before the prefetch completes waits for it
 (a *late* prefetch hides only part of the latency).
 """
 
+from collections import deque
 from heapq import heappop, heappush
 
 from repro.mem.cache import CacheLine
@@ -116,7 +117,7 @@ class MemoryController:
         """Switch :meth:`issue_prefetches` to the one-frame drain.
 
         The drain pops ``queue`` (a ``RegionQueue`` or a ``PendingQueue``,
-        told apart by the region queue's ``_entries`` list), runs the DRAM
+        told apart by the pending queue's ``_entries`` deque), runs the DRAM
         transfer and MSHR allocation, and fills ``hierarchy``'s L2, all in
         one loop.  It reaches into the L2, the MSHR file and the
         hierarchy's prefetch ready-time map, so the hierarchy binds it only
@@ -125,6 +126,13 @@ class MemoryController:
         reference run, an engine that fills the L2.  Every container
         bound here lives as long as its owner; the insertion depth,
         which the adaptive policy changes during a run, is read per call.
+
+        It also builds the per-channel bit masks of the open-row pick
+        here, once per DRAM geometry: ``chan_masks[r][c]`` holds the bits
+        ``i`` below one row span with ``(r + i) % channels == c``, the
+        blocks on channel ``c`` of an entry whose first block is on
+        channel ``r``.  Bits past an entry's size never meet its
+        bitvector, so one mask serves every entry size.
 
         In a co-run the drain counts into the hierarchy's slices of the
         shared L2, MSHR file and DRAM (its stats views) and owns its
@@ -135,22 +143,28 @@ class MemoryController:
         mshrs = hierarchy.l2_mshrs
         dram = self.dram
         cfg = dram.config
-        entries = getattr(queue, "_entries", None)
-        if entries is not None \
-                and queue.block_size != 1 << dram._block_shift:
+        entries = queue._entries
+        fifo = entries if isinstance(entries, deque) else None
+        if fifo is None and queue.block_size != 1 << dram._block_shift:
             return  # the drain's block arithmetic assumes one block size
+        n_channels = dram._channels
+        row_span = n_channels * dram._blocks_per_row
+        # lanes[k]: the bits i < row_span with i % n_channels == k.
+        lanes = [sum(1 << i for i in range(k, row_span, n_channels))
+                 for k in range(n_channels)]
+        chan_masks = [[lanes[(c - r) % n_channels] for c in range(n_channels)]
+                      for r in range(n_channels)]
         self._drain = (
-            l2, queue, entries, queue._fifo if entries is None else None,
-            getattr(queue, "_lifo", True), l2._sets, l2._index, l2._shadow,
-            l2._shadow_capacity, l2._block_shift, l2._set_mask, l2.assoc,
+            l2, queue, entries, fifo, getattr(queue, "_lifo", True),
+            l2._sets, l2._index, l2._shadow, l2._shadow_capacity, l2._block_shift, l2._set_mask, l2.assoc,
             hierarchy.l2_stats_view(), hierarchy.mshr_stats_view(),
             hierarchy.core_id,
             mshrs, mshrs._inflight, mshrs._heap, mshrs.num_entries,
-            hierarchy._prefetch_ready, hierarchy._ready_heap,
+            hierarchy._prefetch_ready, chan_masks,
             hierarchy._prune_ready, hierarchy._pf_on_fill,
             hierarchy._pf_on_drop, dram, dram._channel_free, dram._open_rows,
-            dram.channel_busy_cycles, dram._block_shift, dram._channels,
-            dram._banks, dram._channels * dram._blocks_per_row,
+            dram.channel_busy_cycles, dram._block_shift, n_channels,
+            dram._banks, row_span,
             cfg.row_hit_latency, cfg.row_miss_latency, cfg.transfer_cycles,
             hierarchy.dram_stats_view(),
         )
@@ -204,12 +218,12 @@ class MemoryController:
             return
         (l2, queue, entries, fifo, lifo, sets, index, shadow, shadow_cap,
          l2_shift, set_mask, assoc, l2stats, mstats, core_id, mshrs,
-         inflight, heap, capacity, prefetch_ready, ready_heap, prune_ready,
+         inflight, heap, capacity, prefetch_ready, chan_masks, prune_ready,
          on_fill, on_drop, dram, channel_free, open_rows, busy_cycles,
          blk_shift, n_channels, n_banks, row_span, row_hit_latency,
          row_miss_latency, transfer_cycles, dstats) = drain
         held = queue._held
-        if held is None and not (entries if fifo is None else fifo):
+        if held is None and not entries:
             return  # has_candidates(), inlined
         self._blocked_until = -1.0
         depth = l2.prefetch_insert_depth
@@ -228,6 +242,8 @@ class MemoryController:
         # hooks), and either re-selects it.
         entry = None
         bitvec = 0
+        # The per-channel masks of a masked entry (see below), else None.
+        masks = None
         bsize = 1 << blk_shift  # the queue's block size too (bind_drain)
         try:
             while issued < budget:
@@ -262,36 +278,68 @@ class MemoryController:
                         bitvec = entry.bitvec
                         base = entry.base
                         nblocks = entry.nblocks
-                        full_mask = (1 << nblocks) - 1
                         first_nblk = base >> blk_shift
                         queued_at = entry.queued_at
-                    # Scan the set bits from the entry's index, wrapping
-                    # (the bitvector rotated so the scan starts at bit 0),
-                    # and take the first candidate whose DRAM row is open,
-                    # else the first in scan order (see pop_candidate).
-                    # Block i of the entry is DRAM block first_nblk + i.
+                        per = first_nblk // row_span
+                        if bitvec & (bitvec - 1) and per == (
+                                first_nblk + nblocks - 1) // row_span:
+                            # Two or more candidates inside one row span:
+                            # every block shares one (bank, row), so
+                            # whether its row is open depends only on its
+                            # channel.  open_mask holds the blocks whose
+                            # channel has that row open.
+                            bank = per % n_banks
+                            row = per // n_banks
+                            masks = chan_masks[first_nblk % n_channels]
+                            open_mask = 0
+                            for bank_rows, mask in zip(open_rows, masks):
+                                if bank_rows[bank] == row:
+                                    open_mask |= mask
+                        else:
+                            masks = None
+                            full_mask = (1 << nblocks) - 1
                     index_ = entry.index
-                    rot = ((bitvec >> index_)
-                           | (bitvec << (nblocks - index_))) & full_mask
-                    low = rot & -rot
-                    first = index_ + low.bit_length() - 1
-                    if first >= nblocks:
-                        first -= nblocks
-                    i = first
-                    while True:
-                        nblk = first_nblk + i
-                        per = nblk // row_span
-                        if open_rows[nblk % n_channels][per % n_banks] \
-                                == per // n_banks:
-                            break
-                        rot ^= low
-                        if not rot:
-                            i = first
-                            break
+                    if masks is not None:
+                        # The first open candidate in the wrapped scan
+                        # order from the entry's index, else the first
+                        # candidate: the lowest set bit at or above the
+                        # index, else the lowest set bit.
+                        pick = bitvec & open_mask or bitvec
+                        low = pick >> index_
+                        if low:
+                            i = index_ + (low & -low).bit_length() - 1
+                        else:
+                            i = (pick & -pick).bit_length() - 1
+                    elif not bitvec & (bitvec - 1):
+                        i = bitvec.bit_length() - 1  # the one candidate
+                    else:
+                        # Scan the set bits from the entry's index,
+                        # wrapping (the bitvector rotated so the scan
+                        # starts at bit 0), and take the first candidate
+                        # whose DRAM row is open, else the first in scan
+                        # order (see pop_candidate).  Block i of the entry
+                        # is DRAM block first_nblk + i.
+                        rot = ((bitvec >> index_)
+                               | (bitvec << (nblocks - index_))) & full_mask
                         low = rot & -rot
-                        i = index_ + low.bit_length() - 1
-                        if i >= nblocks:
-                            i -= nblocks
+                        first = index_ + low.bit_length() - 1
+                        if first >= nblocks:
+                            first -= nblocks
+                        i = first
+                        while True:
+                            nblk = first_nblk + i
+                            per = nblk // row_span
+                            if open_rows[nblk % n_channels][per % n_banks] \
+                                    == per // n_banks:
+                                break
+                            rot ^= low
+                            if not rot:
+                                i = first
+                                break
+                            low = rot & -rot
+                            i = index_ + low.bit_length() - 1
+                            if i >= nblocks:
+                                i -= nblocks
                     block = base + i * bsize
                     bitvec ^= 1 << i
                     entry.bitvec = bitvec
@@ -361,10 +409,13 @@ class MemoryController:
                     self._held_ch = ch
                     break
                 # DRAMSystem.access(block, earliest, kind="prefetch"),
-                # inlined.
-                per = nblk // row_span
-                bank = per % n_banks
-                row = per // n_banks
+                # inlined.  A candidate of a masked entry has the entry's
+                # bank and row; the transfer leaves that row open on its
+                # channel.
+                if masks is None:
+                    per = nblk // row_span
+                    bank = per % n_banks
+                    row = per // n_banks
                 start = channel_free[ch]
                 if earliest >= start:
                     start = earliest
@@ -375,6 +426,8 @@ class MemoryController:
                 else:
                     latency = row_miss_latency
                     bank_rows[bank] = row
+                    if masks is not None:
+                        open_mask |= masks[ch]
                 channel_free[ch] = start + transfer_cycles
                 busy_cycles[ch] += transfer_cycles
                 ready = start + latency
@@ -437,8 +490,15 @@ class MemoryController:
                 # The rest of Hierarchy._fill_prefetch.
                 if writeback is not None:
                     dram.access(writeback, ready, "writeback")
+                    if masks is not None:
+                        # The writeback may have opened or closed the
+                        # entry's row on its channel.
+                        wch = (writeback >> blk_shift) % n_channels
+                        if open_rows[wch][bank] == row:
+                            open_mask |= masks[wch]
+                        else:
+                            open_mask &= ~masks[wch]
                 prefetch_ready[block] = ready
-                heappush(ready_heap, (ready, block))
                 if len(prefetch_ready) > 4096:
                     prune_ready(ready)
                 # The fill hook runs only for depth > 0 (its contract,

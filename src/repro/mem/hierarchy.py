@@ -44,6 +44,26 @@ def _engine_hook(prefetcher, name):
     return getattr(prefetcher, name, None)
 
 
+class _CandidateProbe:
+    """An engine's ``has_candidates()`` behind a queue's state read.
+
+    The replay loops test ``_held is not None or _entries`` on the
+    engine's region or pending queue.  An engine without one (stream
+    buffers, test doubles) is wrapped in this: ``_held`` is always None
+    and reading ``_entries`` makes the engine's call.
+    """
+
+    __slots__ = ("_probe",)
+    _held = None
+
+    def __init__(self, probe):
+        self._probe = probe
+
+    @property
+    def _entries(self):
+        return self._probe()
+
+
 class HierarchyStats:
     """Aggregate counters across the hierarchy for one simulation."""
 
@@ -100,13 +120,11 @@ class Hierarchy:
             self.l2_mshrs = MSHRFile(config.mshr_entries)
             self.dram = DRAMSystem(config.dram)
             self._prefetch_ready = {}
-            self._ready_heap = []
         else:
             self.l2 = shared.l2
             self.l2_mshrs = shared.mshrs
             self.dram = shared.dram
             self._prefetch_ready = shared.prefetch_ready
-            self._ready_heap = shared.ready_heap
         self.controller = MemoryController(self.dram, prefetcher)
         self.controller.fill_prefetch = self._fill_prefetch
         self.controller.is_resident = self.l2.contains_block
@@ -115,12 +133,14 @@ class Hierarchy:
         self.prefetcher = prefetcher
         if prefetcher is not None:
             prefetcher.attach(self, space, config)
-            # Bind the candidate probe once (collapsing the engine's
-            # delegation to its region queue): it runs per demand access.
+            # The candidate probe runs per demand access, as the state
+            # read ``_held is not None or _entries`` on a region or
+            # pending queue (the engine's has_candidates() delegates to
+            # it), or on a _CandidateProbe that makes the engine's call.
             queue = getattr(prefetcher, "queue", None)
-            self._has_candidates = (
-                queue.has_candidates if queue is not None
-                else prefetcher.has_candidates
+            self._candidates = (
+                queue if isinstance(queue, (RegionQueue, PendingQueue))
+                else _CandidateProbe(prefetcher.has_candidates)
             )
             # Resolve the per-candidate hooks once: engines that inherit
             # the base no-op (SRP) skip the call, and the prefetch drain
@@ -135,7 +155,7 @@ class Hierarchy:
             #: engines.
             self.adapt = getattr(prefetcher, "adapt", None)
         else:
-            self._has_candidates = None
+            self._candidates = None
             self._pf_on_fill = None
             self._pf_on_drop = None
             self._pf_fills_l2 = True
@@ -148,12 +168,11 @@ class Hierarchy:
         )
         self.stats = HierarchyStats()
         # ``_prefetch_ready`` (set above, possibly shared): {block ->
-        # data-ready cycle} for in-flight prefetch fills.  ``_ready_heap``
-        # is a min-heap of (ready, block) mirroring it with lazy deletion:
-        # entries popped from the dict (demand touches) or superseded by a
-        # re-prefetch go stale in the heap and are skipped when popped.
-        # Pruning is therefore O(log n) amortized per fill instead of a
-        # full-dict scan at every threshold hit.
+        # data-ready cycle} for in-flight prefetch fills.  A demand touch
+        # or demand fill pops a block's entry, a re-prefetch overwrites
+        # it, and :meth:`_prune_ready` drops the landed ones once the map
+        # passes 4,096 entries; the scan that costs is amortized over the
+        # 4,096 fills that refilled the map.
         # Observability layer: always collects the summary metrics; the
         # per-event trace hooks are installed only when a sink is given.
         self.metrics = MetricsCollector(sink=trace_sink)
@@ -207,7 +226,6 @@ class Hierarchy:
             if writeback is not None:
                 self.controller.writeback(writeback, ready)
             self._prefetch_ready[block] = ready
-            heapq.heappush(self._ready_heap, (ready, block))
             if len(self._prefetch_ready) > 4096:
                 self._prune_ready(ready)
         if self._pf_on_fill is not None:
@@ -216,17 +234,15 @@ class Hierarchy:
     def _prune_ready(self, now):
         """Drop ready-time entries for prefetches whose data has landed.
 
-        The dict stays authoritative; the heap orders the drops.  A heap
-        entry whose ready time no longer matches the dict's (demand touch
-        popped it, or a re-prefetch of the same block superseded it) is
-        stale and skipped.
+        Drops every entry whose ready time is at or below ``now``, in
+        place: the map is shared with the prefetch drain and the co-run's
+        other cores.  The survivors are put back in their order, so the
+        map reads as if exactly the landed entries had been deleted.
         """
-        heap = self._ready_heap
         ready_map = self._prefetch_ready
-        while heap and heap[0][0] <= now:
-            ready, block = heapq.heappop(heap)
-            if ready_map.get(block) == ready:
-                del ready_map[block]
+        survivors = {b: r for b, r in ready_map.items() if r > now}
+        ready_map.clear()
+        ready_map.update(survivors)
 
     # ------------------------------------------------------------------
     # Demand path
@@ -246,8 +262,9 @@ class Hierarchy:
         # this access: prefetches queued earlier may have completed (or be
         # in flight) by now, turning this lookup into a (late) hit.
         if self._fast_prefetch:
-            has_candidates = self._has_candidates
-            if has_candidates is not None and has_candidates():
+            candidates = self._candidates
+            if candidates is not None and (
+                    candidates._held is not None or candidates._entries):
                 self.controller.issue_prefetches(now)
         else:
             self.controller.issue_prefetches(now)

@@ -40,11 +40,10 @@ class MSHRFile:
         #: {block -> fill completion cycle}: the authoritative contents.
         self._inflight = {}
         #: Min-heap of ``(ready, block)`` mirroring ``_inflight`` with lazy
-        #: deletion, the same idiom as ``Hierarchy._ready_heap``: every
-        #: ``_inflight`` entry has a heap entry with its ready time, and a
-        #: heap entry whose block is gone or now maps to another ready
-        #: time (the block was re-allocated while in flight) is stale and
-        #: skipped when it reaches the top.
+        #: deletion: every ``_inflight`` entry has a heap entry with its
+        #: ready time, and a heap entry whose block is gone or now maps to
+        #: another ready time (the block was re-allocated while in flight)
+        #: is stale and skipped when it reaches the top.
         self._heap = []
         #: Lower bound on the earliest outstanding completion (the heap's
         #: top, or below it once stale tops are discarded); lets

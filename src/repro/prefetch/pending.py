@@ -21,6 +21,10 @@ attribute:
   write (engines give it meaning — Gaze caps replay length with it), and
   :meth:`flush` drops everything for the disable transition, returning
   the count so the throttle can report it.
+* **State read.**  :meth:`has_candidates` is ``_held is not None or
+  bool(_entries)``, the region queue's test on the same two attribute
+  names, so ``Core.run_span``, ``Hierarchy.access`` and the prefetch
+  drain read it inline for either queue.
 
 The queue is bounded; when full, the *oldest* pending candidate falls
 off the front, mirroring the region queue's drop-from-the-bottom policy
@@ -46,33 +50,33 @@ class PendingQueue:
         self.candidates_queued = 0
         self.candidates_issued = 0
         self.dropped_overflow = 0
-        self._fifo = deque()
+        self._entries = deque()  # pending requests, oldest first
         self._held = None  # candidate returned by push_back
 
     def __len__(self):
-        return len(self._fifo) + (1 if self._held is not None else 0)
+        return len(self._entries) + (1 if self._held is not None else 0)
 
     # ------------------------------------------------------------------
     def push(self, request):
         """Append one candidate; the oldest falls off when full."""
-        self._fifo.append(request)
+        self._entries.append(request)
         self.candidates_queued += 1
-        if len(self._fifo) > self.capacity:
-            self._fifo.popleft()
+        if len(self._entries) > self.capacity:
+            self._entries.popleft()
             self.dropped_overflow += 1
 
     def has_candidates(self):
-        return self._held is not None or bool(self._fifo)
+        return self._held is not None or bool(self._entries)
 
     def pop_candidate(self, now, dram=None):
         """Return the next candidate (held-first), or None when empty."""
         if self._held is not None:
             request, self._held = self._held, None
             return request
-        if not self._fifo:
+        if not self._entries:
             return None
         self.candidates_issued += 1
-        return self._fifo.popleft()
+        return self._entries.popleft()
 
     def push_back(self, request):
         """Hold an unissuable candidate; the next pop returns it."""
@@ -80,8 +84,8 @@ class PendingQueue:
 
     def flush(self):
         """Drop every queued candidate (and any held one); return count."""
-        count = len(self._fifo)
-        self._fifo.clear()
+        count = len(self._entries)
+        self._entries.clear()
         if self._held is not None:
             count += 1
             self._held = None

@@ -16,8 +16,16 @@ scheduling policy) with an open-DRAM-page preference among a head entry's
 candidate blocks.
 """
 
+from operator import attrgetter
+
 from repro.mem.controller import PrefetchRequest
 from repro.mem.layout import block_index_in_region, region_base
+
+
+#: An entry's ``(base, nblocks)`` and its ``nblocks``, read in C by the
+#: covering-entry search.
+_geometry_of = attrgetter("base", "nblocks")
+_nblocks_of = attrgetter("nblocks")
 
 
 class RegionEntry:
@@ -62,10 +70,10 @@ class RegionQueue:
         self.region_size = region_size
         self.block_size = block_size
         self.is_resident = is_resident
-        #: Optional live container of resident blocks (see
+        #: Optional live mapping keyed by the resident blocks (see
         #: :attr:`repro.mem.cache.Cache.resident_map`); when given it
-        #: replaces an ``is_resident`` call per probed block with one
-        #: ``in`` test on the region-allocation paths.
+        #: replaces an ``is_resident`` call per probed block with a key
+        #: test or a key-set intersection on the region-allocation paths.
         self.resident_map = resident_map
         self.policy = policy
         self._lifo = policy == "lifo"
@@ -96,12 +104,27 @@ class RegionQueue:
         than a base address computed with the caller's region size —
         matching by recomputed base could alias a different entry and
         clear the wrong bitvector bit.
+
+        Every entry is an aligned region of a power-of-two span (its base
+        comes from ``region_base`` with that span), so an entry of
+        ``nblocks`` blocks contains ``miss_block`` exactly when its
+        ``(base, nblocks)`` is ``miss_block``'s aligned base for that span
+        and ``nblocks``.  The search probes one such key per distinct
+        entry size, with the queue's geometry listed and searched in C,
+        and returns the first position any probe finds.
         """
-        for pos, entry in enumerate(self._entries):
-            span = entry.nblocks * self.block_size
-            if entry.base <= miss_block < entry.base + span:
-                return pos
-        return -1
+        entries = self._entries
+        if not entries:
+            return -1
+        geometry = list(map(_geometry_of, entries))
+        found = -1
+        for nblocks in set(map(_nblocks_of, entries)):
+            key = (miss_block & ~(nblocks * self.block_size - 1), nblocks)
+            if key in geometry:
+                pos = geometry.index(key)
+                if found < 0 or pos < found:
+                    found = pos
+        return found
 
     def allocate_region(self, miss_block, now, region_size=None, depth=0):
         """Allocate (or refresh) the region containing ``miss_block``.
@@ -126,23 +149,21 @@ class RegionQueue:
         base = region_base(miss_block, rsize)
         nblocks = rsize // self.block_size
         miss_index = block_index_in_region(miss_block, rsize, self.block_size)
-        bitvec = 0
         bsize = self.block_size
+        bitvec = ((1 << nblocks) - 1) ^ (1 << miss_index)
         resident_map = self.resident_map
         if resident_map is not None:
-            for i in range(nblocks):
-                if i == miss_index or base + i * bsize in resident_map:
-                    continue
-                bitvec |= 1 << i
+            # The region's resident blocks, found by a set intersection
+            # that runs in C; each clears its bit.
+            for block in resident_map.keys() & range(
+                    base, base + rsize, bsize):
+                bitvec &= ~(1 << (block - base) // bsize)
         else:
             is_resident = self.is_resident
-            for i in range(nblocks):
-                block = base + i * bsize
-                if i == miss_index:
-                    continue
-                if is_resident is not None and is_resident(block):
-                    continue
-                bitvec |= 1 << i
+            if is_resident is not None:
+                for i in range(nblocks):
+                    if i != miss_index and is_resident(base + i * bsize):
+                        bitvec ^= 1 << i
         entry = RegionEntry(
             base, bitvec, nblocks, (miss_index + 1) % nblocks, depth, now
         )

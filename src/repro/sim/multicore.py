@@ -129,7 +129,7 @@ class SharedMemorySystem:
     Built once per :class:`MultiCoreSimulator` and handed to every core's
     :class:`~repro.mem.hierarchy.Hierarchy` (its ``shared`` parameter),
     which aliases these objects instead of building private ones.  Also
-    carries the in-flight prefetch ready-time structures, which belong to
+    carries the in-flight prefetch ready-time map, which belongs to
     the shared L2's contents.
     """
 
@@ -141,11 +141,9 @@ class SharedMemorySystem:
         )
         self.mshrs = MSHRFile(config.mshr_entries)
         self.dram = DRAMSystem(config.dram)
-        #: {block -> data-ready cycle} of in-flight prefetch fills, plus
-        #: its pruning min-heap (see Hierarchy); shared because the
-        #: blocks live in the shared L2.
+        #: {block -> data-ready cycle} of in-flight prefetch fills (see
+        #: Hierarchy); shared because the blocks live in the shared L2.
         self.prefetch_ready = {}
-        self.ready_heap = []
         self.interference = InterferenceMatrix(n_cores)
         self.l2.enable_core_stats(n_cores)
         self.l2.interference = self.interference

@@ -158,32 +158,25 @@ class TestStatsConsistency:
 
 
 class TestPruneReady:
-    """The ready-time map prunes via its (ready, block) min-heap."""
-
-    def prime(self, hier, entries):
-        import heapq
-        for block, ready in entries:
-            hier._prefetch_ready[block] = ready
-            heapq.heappush(hier._ready_heap, (ready, block))
+    """The ready-time map drops the landed entries in place."""
 
     def test_prune_drops_only_landed_entries(self):
         hier, _, _ = make()
-        self.prime(hier, [(0x40, 100.0), (0x80, 200.0), (0xC0, 300.0)])
+        hier._prefetch_ready.update({0x40: 100.0, 0x80: 200.0, 0xC0: 300.0})
         hier._prune_ready(200.0)
         assert hier._prefetch_ready == {0xC0: 300.0}
 
-    def test_stale_heap_entries_are_skipped(self):
+    def test_reprefetch_keeps_the_newer_ready_time(self):
         hier, _, _ = make()
-        self.prime(hier, [(0x40, 100.0)])
-        # A re-prefetch of the same block superseded the first fill: the
-        # dict holds the new ready time, the old heap entry is stale.
-        self.prime(hier, [(0x40, 500.0)])
+        hier._prefetch_ready[0x40] = 100.0
+        # A re-prefetch of the same block superseded the first fill.
+        hier._prefetch_ready[0x40] = 500.0
         hier._prune_ready(200.0)
         assert hier._prefetch_ready == {0x40: 500.0}
 
     def test_prune_after_demand_touch_is_safe(self):
         hier, _, _ = make()
-        self.prime(hier, [(0x40, 100.0), (0x80, 400.0)])
+        hier._prefetch_ready.update({0x40: 100.0, 0x80: 400.0})
         del hier._prefetch_ready[0x40]  # demand touch popped it
         hier._prune_ready(300.0)
         assert hier._prefetch_ready == {0x80: 400.0}
@@ -195,13 +188,47 @@ class TestPruneReady:
         base = space.malloc(1 << 12, align=4096)
         block = base & hier._block_mask
         hier.l2.fill(block, prefetched=True)
-        self.prime(hier, [(block, 5000.0)])
+        hier._prefetch_ready[block] = 5000.0
         hier._prune_ready(100.0)
         assert hier._prefetch_ready == {block: 5000.0}
         t = hier.access(block, now=200.0)
         assert hier.stats.late_prefetch_hits == 1
         assert t == 5000.0
-        # The touch popped the map; the stale heap entry stays benign.
         assert hier._prefetch_ready == {}
-        hier._prune_ready(10_000.0)
-        assert hier._ready_heap == []
+
+    def test_prune_matches_the_heap_prune(self):
+        """Seeded: the in-place prune leaves the map exactly as a
+        (ready, block) min-heap with lazy deletion, pushed per fill and
+        popped to the prune time, leaves it, surviving order included."""
+        import heapq
+        import random
+
+        rng = random.Random(2003)
+        hier, _, _ = make()
+        ready_map = hier._prefetch_ready
+        shadow = {}
+        heap = []
+        now = 0.0
+        for _ in range(20_000):
+            op = rng.random()
+            block = rng.randrange(64) * 64
+            if op < 0.6:
+                # A prefetch fill (or re-fill) in flight until `ready`;
+                # ready times repeat so ties at the prune time occur.
+                ready = now + rng.randrange(0, 400, 25)
+                ready_map[block] = shadow[block] = ready
+                heapq.heappush(heap, (ready, block))
+            elif op < 0.8:
+                # A demand touch or demand fill pops the block's entry.
+                ready_map.pop(block, None)
+                shadow.pop(block, None)
+            else:
+                prune_at = now + rng.randrange(0, 300, 25)
+                hier._prune_ready(prune_at)
+                while heap and heap[0][0] <= prune_at:
+                    ready, block = heapq.heappop(heap)
+                    if shadow.get(block) == ready:
+                        del shadow[block]
+                assert list(ready_map.items()) == list(shadow.items())
+            now += rng.randrange(0, 60)
+        assert list(ready_map.items()) == list(shadow.items())

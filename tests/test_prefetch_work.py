@@ -24,8 +24,9 @@ same frame, and is gated on cells of the benchmark's ``corun`` workload.
 The second gate replays fixed cells under ``sys.settrace`` with
 ``frame.f_trace_opcodes`` set on ``repro`` frames and counts the
 bytecode instructions they execute: prefetch-free cells for the demand
-path, and two prefetching cells for the one-frame prefetch drain, whose
-blocked-issue cache saves work without saving calls.  Opcode counts
+path, and four prefetching cells for the one-frame prefetch drain, whose
+blocked-issue cache and region-grain bookkeeping save work without
+saving calls.  Opcode counts
 depend on the interpreter's compiler, so those budgets are recorded
 for, and run on, Python 3.11 only; the call budgets run everywhere.
 """
@@ -59,18 +60,21 @@ REFS = 2000
 #: per event at every stretch boundary) cut both to 28,034 and 45,570.
 #: The one-frame demand miss cut them to 14,756 and 36,742, and testing
 #: the blocked-issue gate in ``run_span`` (no ``issue_prefetches`` or
-#: ``gated_reclaim`` call while the held candidate stays blocked) to the
-#: budgets below.  mcf/none gates the demand miss alone: 11,406 calls
-#: through the decomposed chain (L2 probe, MSHR file, DRAM and fills
-#: each a call).  The arena engines gaze and chase, which queue
-#: candidates from their L2 access and miss hooks, are gated on one
-#: prefetching cell each (11,078 and 52,839 calls before the gate).
+#: ``gated_reclaim`` call while the held candidate stays blocked) to
+#: 12,202 and 34,088.  Reading the queue's state in ``run_span``
+#: instead of calling ``has_candidates()`` per reference cut 2,000 calls
+#: from every prefetching cell, to the budgets below.  mcf/none gates
+#: the demand miss alone: 11,406 calls through the decomposed chain (L2
+#: probe, MSHR file, DRAM and fills each a call).  The arena engines
+#: gaze and chase, which queue candidates from their L2 access and miss
+#: hooks, are gated on one prefetching cell each (11,078 and 52,839
+#: calls before the gate, 11,060 and 51,783 before the state read).
 BUDGETS = {
-    ("ammp", "srp"): (19944, 12202),
-    ("mcf", "grp"): (1803, 34088),
+    ("ammp", "srp"): (19944, 10202),
+    ("mcf", "grp"): (1803, 32088),
     ("mcf", "none"): (0, 2646),
-    ("applu", "gaze"): (632, 11060),
-    ("mcf", "chase"): (3463, 51783),
+    ("applu", "gaze"): (632, 9060),
+    ("mcf", "chase"): (3463, 49783),
 }
 
 #: (workload, scheme) -> budget of opcodes executed in repro frames for
@@ -79,26 +83,36 @@ BUDGETS = {
 #: (swim, applu), L1-resident (art) and pointer-chasing (mcf).  Before
 #: the one-frame demand miss they ran 720,508, 1,537,903, 616,573 and
 #: 1,238,255 opcodes, and 610,493, 1,060,275, 534,221 and 920,599 after
-#: it.  mcf/grp and ammp/srp gate the prefetch drain: disarming its
+#: it.  The other four gate the prefetch drain: disarming its
 #: blocked-issue cache adds opcodes there (+8.9% on mcf/grp) but no
-#: calls.  They ran 3,093,721 and 11,409,018 opcodes before
-#: ``run_span`` tested the gate itself.
+#: calls.  mcf/grp and ammp/srp ran 3,093,721 and 11,409,018 opcodes
+#: before ``run_span`` tested the gate itself, and 3,036,161 and
+#: 11,175,457 (mcf/srp 4,137,433, applu/grp 1,653,606) before the drain
+#: picked open-row candidates by channel mask, the ready map lost its
+#: heap, region allocation intersected the L2's keys in C, the
+#: covering-entry search probed keys instead of scanning, and
+#: ``run_span`` read the queue's state instead of calling
+#: ``has_candidates()``.
 OPCODE_BUDGETS = {
     ("swim", "none"): 610063,
     ("applu", "none"): 1057653,
     ("art", "none"): 533957,
     ("mcf", "none"): 919136,
-    ("mcf", "grp"): 3036161,
-    ("ammp", "srp"): 11175457,
+    ("mcf", "grp"): 2983338,
+    ("ammp", "srp"): 8451864,
+    ("mcf", "srp"): 2817920,
+    ("applu", "grp"): 1527320,
 }
 
 #: The ammp+art co-run under GRP (a cell of the benchmark's corun
 #: workload): (per-core prefetch fills, budget of repro calls) for the
 #: fused co-run loop at REFS references per core.  Through the
 #: decomposed miss chain, with every gated reference calling
-#: ``issue_prefetches``, it made 33,267 calls.
+#: ``issue_prefetches``, it made 33,267 calls, and 16,403 before
+#: ``run_span`` read the queue's state instead of calling
+#: ``has_candidates()``.
 CORUN = (("ammp", "art"), "grp")
-CORUN_BUDGET = ((395, 94), 16403)
+CORUN_BUDGET = ((395, 94), 12403)
 
 #: The mcf+swim co-run without prefetching, the same way: every L1 miss
 #: is one call, where the decomposed chain made 14,688.
@@ -111,10 +125,12 @@ RUSH_HOUR = ("mcf", "swim", "art", "ammp", "equake", "mesa") * 3
 #: (workloads, scheme, refs per core) -> budget of opcodes executed in
 #: repro frames by the fused co-run loop, on Python 3.11.  Through the
 #: decomposed chain, with a call per gated reference and a counter
-#: flush after every span, they ran 2,777,057 and 13,334,586.
+#: flush after every span, they ran 2,777,057 and 13,334,586, and
+#: 2,266,448 and 11,948,543 before the region-grain drain bookkeeping
+#: (see OPCODE_BUDGETS).
 CORUN_OPCODE_BUDGETS = {
-    (("ammp", "art"), "grp", REFS): 2266448,
-    (RUSH_HOUR, "srp", 500): 11948543,
+    (("ammp", "art"), "grp", REFS): 2199248,
+    (RUSH_HOUR, "srp", 500): 9189095,
 }
 
 PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep

@@ -206,3 +206,27 @@ class TestVariableRegionSize:
         same = queue.allocate_region(0x1080, now=1, region_size=128)
         assert same is entry
         assert not (entry.bitvec >> 2) & 1
+
+    def test_covering_search_matches_a_linear_scan(self):
+        """Seeded: the keyed search finds the first entry whose span holds
+        the miss, as a scan over the queue in order does, on queues of
+        overlapping variable-size regions and duplicate block entries."""
+        import random
+
+        rng = random.Random(2003)
+        for _ in range(300):
+            queue = make_queue(capacity=12, region=1024)
+            for _ in range(rng.randint(0, 12)):
+                now = rng.random()
+                miss = rng.randrange(0x100) * 64
+                if rng.random() < 0.3:
+                    queue.allocate_blocks([miss, miss + 64], now)
+                else:
+                    queue.allocate_region(
+                        miss, now, region_size=rng.choice([128, 256, 1024]))
+            for _ in range(20):
+                miss = rng.randrange(0x100) * 64
+                scan = next(
+                    (pos for pos, e in enumerate(queue._entries)
+                     if e.base <= miss < e.base + e.nblocks * 64), -1)
+                assert queue._find_covering(miss) == scan
