@@ -48,7 +48,12 @@ from repro.sim.supervisor import SweepAborted, SweepSupervisor
 # spuriously recommit; same-PC region transitions commit the old
 # generation).  Gaze results change, so cached 1.8.0 entries must not
 # be served.
-__version__ = "1.8.1"
+# 1.8.2: sphinx's and bzip2's samplers no longer memoize draws across
+# interpretations of one cached build, so a run that followed a shorter
+# run of the same build got a different trace than a fresh build gave.
+# Fresh-build traces are unchanged; the bump keeps traces and results
+# written by such history-dependent runs from being served.
+__version__ = "1.8.2"
 
 __all__ = [
     "CoRunResult", "CoRunSpec", "FaultPlan", "MachineConfig", "ResultCache",

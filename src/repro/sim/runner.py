@@ -266,9 +266,13 @@ def run_workload(workload, scheme, config=None, mode="real", policy="default",
 #: Built-workload cache: {(name, scale, base): (space, built, program)}.
 #: Every registered workload's build is deterministic in (name, scale,
 #: base) — the builders seed their own RNGs — and nothing written after
-#: build time: the interpreter and the prefetchers' pointer scans only
-#: *read* the address space.  Sharing the build across the scheme × mode
-#: matrix saves re-running it (heap construction, shuffles) per cell.
+#: build time changes a later run: the interpreter and the prefetchers'
+#: pointer scans only *read* the address space, and the program's
+#: samplers keep nothing across interpretations (the ``Workload``
+#: contract), so every interpretation of a cached build at any limit
+#: gives the trace a fresh build gives.  Sharing the build across the
+#: scheme × mode matrix saves re-running it (heap construction, shuffles)
+#: per cell.
 #: ``base`` shifts the address-space layout — multi-core co-runs build
 #: core ``i``'s image at ``i << 36`` so cores never alias in the shared
 #: L2 (base 0, the single-core default, is byte-compatible with before).

@@ -48,7 +48,19 @@ class Built:
 
 
 class Workload:
-    """Base class for benchmark workloads."""
+    """Base class for benchmark workloads.
+
+    :meth:`build` must be deterministic in ``(space base, scale)``: seed
+    any RNG it uses.  One build serves every run of its workload in a
+    process (``runner._BUILD_CACHE``), so the samplers it hands to
+    ``Runtime``/``Opaque`` subscripts and ``PtrSelect`` choosers may read
+    ``env`` and draw from ``rng``, but keep nothing across
+    interpretations.  A value meant to stay constant over an inner loop
+    is drawn on that loop's first trip (``env["i"] == 0``) and reused for
+    the rest of it, never memoized by key: a memo filled by one run would
+    skip the draws of the next, and shift every later draw of a longer
+    run.
+    """
 
     #: Benchmark name (e.g. "swim", matching the paper's tables).
     name = None

@@ -68,13 +68,13 @@ class Bzip2(Workload):
         # symbol tables, each run a singly nested loop in its own helper
         # (the source of bzip2's 2-block variable regions in Table 4).
         run_len = 10
-        run_starts = {}
+        run_start = [0]
 
         def run_base(env, r):
-            key = (env["t"], env["s"])
-            if key not in run_starts:
-                run_starts[key] = r.randrange((1 << 15) - run_len)
-            return run_starts[key]
+            # One run per (t, s) call, drawn on the run loop's first trip.
+            if env["i"] == 0:
+                run_start[0] = r.randrange((1 << 15) - run_len)
+            return run_start[0]
 
         mtf_fn = ForLoop(i, 0, run_len, [
             ArrayRef(mtf, [Affine({i: 1}, Runtime(run_base, "mtf run"))]),

@@ -65,23 +65,21 @@ class Sphinx(Workload):
         hmm_head = build_linked_list(space, hmm, 4096, layout="shuffled",
                                      rng=rng)
 
-        def bucket(env, r):
-            # Random bucket, then the short loop walks adjacent slots.
-            return r.randrange(n_slots - probe_len)
-
         i, s, f = Var("i"), Var("s"), Var("f")
         h = PointerVar("h", struct="hmm_t")
 
         # Hash lookup: random bucket + a few adjacent slots.  The base is
         # opaque, so the compiler cannot mark it and prefetches that do
-        # happen (SRP) are too late to matter.
-        starts = {}
+        # happen (SRP) are too late to matter.  One bucket per (frame,
+        # slot) call: drawn on the probe loop's first trip, kept for the
+        # rest of it.
+        start = [0]
 
         def slot(env, r):
-            key = (env["f"], env["s"])
-            if key not in starts:
-                starts[key] = r.randrange(n_slots - probe_len)
-            return starts[key] + env["i"]
+            trip = env["i"]
+            if trip == 0:
+                start[0] = r.randrange(n_slots - probe_len)
+            return start[0] + trip
 
         hash_lookup = ForLoop(i, 0, probe_len, [
             ArrayRef(hashtab, [Opaque(slot, "hash probe")]),
@@ -92,15 +90,15 @@ class Sphinx(Workload):
         # senones; the per-senone loop is short, singly nested, and affine
         # in i with a runtime-constant base (a function argument) -- the
         # variable-region candidate (bound = senone_len).
-        senone_picks = {}
+        senone = [0]
 
         def senone_base(env, r):
             # Constant across the inner i loop: one active senone per
-            # (frame, slot) call of the scoring function.
-            key = (env["f"], env["s"])
-            if key not in senone_picks:
-                senone_picks[key] = r.randrange(n_senones) * senone_len
-            return senone_picks[key]
+            # (frame, slot) call of the scoring function, drawn on its
+            # first trip.
+            if env["i"] == 0:
+                senone[0] = r.randrange(n_senones) * senone_len
+            return senone[0]
 
         senone_fn = ForLoop(i, 0, senone_len, [
             ArrayRef(scores, [Affine({i: 1},

@@ -77,7 +77,7 @@ class TestRegistry:
             assert not SCHEMES[name].hinted
 
     def test_version_salt_isolates_prearena_entries(self):
-        assert version_salt() == "repro-1.8.1"
+        assert version_salt() == "repro-1.8.2"
 
     def test_new_scheme_digests_never_alias(self):
         digests = {RunSpec.create("mcf", s, limit_refs=LIMIT).digest()

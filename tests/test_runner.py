@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import runner
 from repro.sim.config import MachineConfig
 from repro.sim.runner import SCHEMES, run_workload
 from repro.sim.stats import geometric_mean
@@ -46,6 +47,30 @@ class TestRegistry:
                    if get_workload(n).language == "fortran"]
         assert sorted(fortran) == ["applu", "apsi", "mgrid", "swim",
                                    "wupwise"]
+
+
+class TestBuildCache:
+    """A cached build serves every cell of its workload, so interpreting
+    it must leave nothing behind that changes a later interpretation."""
+
+    @staticmethod
+    def trace(name, limit, cacheable):
+        config = MachineConfig.scaled()
+        _, _, _, build_interp = runner.prepare(
+            get_workload(name), SCHEMES["grp"], config, "default", 1.0,
+            12345, limit, cacheable=cacheable)
+        return build_interp().run_columns(limit)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_earlier_run_leaves_later_trace_unchanged(self, name,
+                                                      monkeypatch):
+        monkeypatch.setattr(runner, "_BUILD_CACHE", {})
+        self.trace(name, 1500, cacheable=True)
+        cached = self.trace(name, 6000, cacheable=True)
+        fresh = self.trace(name, 6000, cacheable=False)
+        for column in ("kinds", "f0", "f1", "f2", "ref_names",
+                       "ref_count"):
+            assert getattr(cached, column) == getattr(fresh, column), column
 
 
 class TestRunResults:
