@@ -262,8 +262,8 @@ class Core:
         call is made, so no reclaim may run, gate armed or not.  It is
         read inline as the region or pending queue's state,
         ``_held is not None or _entries`` (the hierarchy's
-        ``_candidates``; an engine without such a queue is wrapped so
-        that the read makes its call).
+        ``_candidates``: the queue, or an engine without one, whose
+        own ``_held``/``_entries`` hold its candidates).
 
         The inlined paths count loads, stores and L1 misses in span
         locals and add them, with the L1 accesses and hits they imply,

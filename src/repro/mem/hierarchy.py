@@ -44,26 +44,6 @@ def _engine_hook(prefetcher, name):
     return getattr(prefetcher, name, None)
 
 
-class _CandidateProbe:
-    """An engine's ``has_candidates()`` behind a queue's state read.
-
-    The replay loops test ``_held is not None or _entries`` on the
-    engine's region or pending queue.  An engine without one (stream
-    buffers, test doubles) is wrapped in this: ``_held`` is always None
-    and reading ``_entries`` makes the engine's call.
-    """
-
-    __slots__ = ("_probe",)
-    _held = None
-
-    def __init__(self, probe):
-        self._probe = probe
-
-    @property
-    def _entries(self):
-        return self._probe()
-
-
 class HierarchyStats:
     """Aggregate counters across the hierarchy for one simulation."""
 
@@ -136,11 +116,12 @@ class Hierarchy:
             # The candidate probe runs per demand access, as the state
             # read ``_held is not None or _entries`` on a region or
             # pending queue (the engine's has_candidates() delegates to
-            # it), or on a _CandidateProbe that makes the engine's call.
+            # it), or else on the engine itself (``Prefetcher`` defines
+            # both names, as its empty queue).
             queue = getattr(prefetcher, "queue", None)
             self._candidates = (
                 queue if isinstance(queue, (RegionQueue, PendingQueue))
-                else _CandidateProbe(prefetcher.has_candidates)
+                else prefetcher
             )
             # Resolve the per-candidate hooks once: engines that inherit
             # the base no-op (SRP) skip the call, and the prefetch drain

@@ -21,6 +21,14 @@ class Prefetcher:
     #: prefetched data in private buffer storage instead.
     fills_l2 = True
 
+    #: The candidate state the replay loops read per reference, as on a
+    #: region or pending queue: ``_held is not None or _entries`` must
+    #: agree with :meth:`has_candidates`.  The base engine holds none;
+    #: an engine that queues candidates itself (stride) keeps them in
+    #: ``_entries``.
+    _held = None
+    _entries = ()
+
     def __init__(self):
         self.hierarchy = None
         self.space = None

@@ -134,7 +134,7 @@ class StridePrefetcher(Prefetcher):
         self.num_buffers = num_buffers
         self.buffer_entries = buffer_entries
         self.allocations = 0
-        self._pending = []  # PrefetchRequests awaiting issue
+        self._entries = []  # PrefetchRequests awaiting issue
 
     def attach(self, hierarchy, space, config):
         super().attach(hierarchy, space, config)
@@ -188,17 +188,17 @@ class StridePrefetcher(Prefetcher):
             if self.hierarchy.l2.contains_block(block):
                 continue
             buf.entries[block] = None
-            self._pending.append(
+            self._entries.append(
                 PrefetchRequest(block, now, meta=buf)
             )
 
     # ------------------------------------------------------------------
     def has_candidates(self):
-        return bool(self._pending)
+        return bool(self._entries)
 
     def pop_candidate(self, now, dram):
-        while self._pending:
-            request = self._pending.pop(0)
+        while self._entries:
+            request = self._entries.pop(0)
             buf = request.meta
             if not buf.active or request.block not in buf.entries:
                 continue  # buffer was retargeted; stale candidate
@@ -206,7 +206,7 @@ class StridePrefetcher(Prefetcher):
         return None
 
     def push_back(self, request):
-        self._pending.insert(0, request)
+        self._entries.insert(0, request)
 
     def on_candidate_dropped(self, request):
         # The target turned out to be resident: free the buffer slot so

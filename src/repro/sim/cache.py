@@ -149,10 +149,6 @@ def version_salt():
     return "repro-%s" % repro.__version__
 
 
-#: Backwards-compatible alias (pre-1.4 internal name).
-_version_salt = version_salt
-
-
 class ResultCache:
     """Disk-backed {RunSpec digest: SimStats} mapping."""
 

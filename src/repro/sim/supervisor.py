@@ -2,32 +2,37 @@
 
 :func:`~repro.sim.batch.run_batch` treats every worker as infallible —
 one crashed or hung worker loses the whole matrix.  The
-:class:`SweepSupervisor` runs the same cells with failure isolation:
+:class:`SweepSupervisor` runs the same cell plan
+(:class:`~repro.sim.batch.CellPlan`: one run per replay identity, or
+*group*) with failure isolation:
 
-* **one process per cell attempt** — a worker that segfaults, is
-  OOM-killed, or hangs takes down only its own cell;
+* **one process per group attempt** — a worker that segfaults, is
+  OOM-killed, or hangs takes down only its own group;
 * **per-worker timeouts** — a hung worker is killed at the deadline and
   the attempt counts as a failure;
 * **bounded retries with exponential backoff** — transient failures
   (flaky I/O, injected faults) are retried up to ``retries`` times,
-  waiting ``retry_base * 2**attempt`` (capped at ``retry_cap``) between
-  attempts;
-* **a checkpoint journal** — every cell-state transition
-  (running / retry / done / failed) is appended to a JSONL file as it
-  happens, so a sweep interrupted by ``kill -9``, OOM, or Ctrl-C resumes
-  from the journal with ``resume=True`` and re-runs only unfinished
-  cells (``done`` entries carry the full serialized result, so resume
-  works even with no result cache);
-* **a failure budget** — a cell that exhausts its retries degrades
-  gracefully into a structured :class:`~repro.sim.stats.RunFailure` in
-  its RunResult slot; when more than ``max_failures`` cells fail
+  waiting ``retry_base * 2**attempt`` (capped at :data:`RETRY_CAP`)
+  between attempts;
+* **a checkpoint journal** — ``running`` and ``retry`` are appended to
+  a JSONL file once per group (under its first spec's digest, listing
+  the ``members``), ``done`` and ``failed`` once per spec, as they
+  happen.  A sweep interrupted by ``kill -9``, OOM, or Ctrl-C resumes
+  with ``resume=True`` and re-runs every spec without its own ``done``
+  record (which carries the full serialized result, so resume works
+  even with no result cache);
+* **a failure budget** — a group that exhausts its retries fails every
+  member into a structured :class:`~repro.sim.stats.RunFailure` in its
+  RunResult slot; when more than ``max_failures`` cells fail
   permanently the sweep aborts with :class:`SweepAborted`.
 
 Results return in input order, exactly like ``run_batch``, and the
 engine's determinism contract means a resumed sweep's results are
 byte-identical to an uninterrupted one (CI enforces this with
 ``tools/check_resilience.py``).  Recovery paths are exercised
-deterministically via :mod:`repro.sim.faults` (``REPRO_FAULT_PLAN``).
+deterministically via :mod:`repro.sim.faults` (``REPRO_FAULT_PLAN``):
+worker faults match the label of the group's first spec (the run the
+worker makes), ``corrupt`` each spec's own label (its cache entry).
 """
 
 import heapq
@@ -35,16 +40,20 @@ import json
 import os
 import time
 from collections import deque
+from functools import partial
 from multiprocessing import connection as mpconnection
 import multiprocessing
 
-from repro.sim.batch import execute_payload, resolve_jobs, trace_path_for
+from repro.sim.batch import CellPlan, execute_payload, resolve_jobs
 from repro.sim.cache import version_salt
 from repro.sim.faults import FaultPlan, corrupt_file
 from repro.sim.stats import RunFailure, result_from_dict
 
 #: How long the supervisor waits on worker pipes per scheduling pass.
 POLL_INTERVAL = 0.05
+
+#: The longest backoff delay between two attempts of a group, seconds.
+RETRY_CAP = 30.0
 
 
 class SweepAborted(RuntimeError):
@@ -124,28 +133,13 @@ class Checkpoint:
     def load(path):
         """Parse a journal into {cell digest: latest record}.
 
-        Unparseable lines (torn tail) and records without a digest (the
-        sweep header) are skipped; later records override earlier ones,
-        so a cell that was ``running`` when the parent died — and
-        therefore never reached ``done`` — correctly reads as unfinished.
+        One :meth:`JournalTailer.poll` of the whole file, so a torn tail
+        is skipped and a cell that was ``running`` when the parent died
+        — and therefore never reached ``done`` — reads as unfinished.
         """
-        cells = {}
-        try:
-            with open(path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn write; everything before it stands
-                    digest = record.get("digest")
-                    if digest:
-                        cells[digest] = record
-        except OSError:
-            return {}
-        return cells
+        tailer = JournalTailer(path)
+        tailer.poll()
+        return tailer.cells
 
 
 class JournalTailer:
@@ -231,15 +225,6 @@ class JournalTailer:
 # Supervisor
 # ----------------------------------------------------------------------
 
-class _InFlight:
-    """Bookkeeping for one running cell attempt."""
-
-    def __init__(self, process, conn, deadline):
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
 class SweepSupervisor:
     """Checkpointed, fault-tolerant executor for a list of RunSpecs.
 
@@ -248,19 +233,20 @@ class SweepSupervisor:
     ``checkpoint`` (journal path; None disables journaling), ``resume``
     (reuse an existing journal's ``done`` cells; failed and in-flight
     cells re-run with a fresh retry budget), ``retries`` (extra attempts
-    per cell), ``timeout`` (seconds per attempt; None = unbounded),
+    per group), ``timeout`` (seconds per attempt; None = unbounded),
     ``max_failures`` (permanently failed cells tolerated before
-    :class:`SweepAborted`; None = unlimited), ``retry_base`` /
-    ``retry_cap`` (exponential backoff bounds, seconds), ``fault_plan``
-    (a :class:`~repro.sim.faults.FaultPlan`; defaults to the env-gated
-    ``$REPRO_FAULT_PLAN``), and ``trace_path_fn`` (overrides the
-    per-spec trace file mapping when ``trace_dir`` alone is too rigid).
+    :class:`SweepAborted`; None = unlimited), ``retry_base`` (the first
+    backoff delay, seconds; doubled per retry up to :data:`RETRY_CAP`),
+    ``fault_plan`` (a :class:`~repro.sim.faults.FaultPlan`; defaults to
+    the env-gated ``$REPRO_FAULT_PLAN``), and ``trace_path_fn``
+    (overrides the per-spec trace file mapping when ``trace_dir`` alone
+    is too rigid).
     """
 
     def __init__(self, specs, jobs=1, cache=None, progress=None,
                  trace_dir=None, checkpoint=None, resume=False, retries=2,
                  timeout=None, max_failures=None, retry_base=0.5,
-                 retry_cap=30.0, fault_plan=None, trace_path_fn=None):
+                 fault_plan=None, trace_path_fn=None):
         self.specs = list(specs)
         self.jobs = jobs
         self.cache = cache
@@ -272,7 +258,6 @@ class SweepSupervisor:
         self.timeout = timeout
         self.max_failures = max_failures
         self.retry_base = retry_base
-        self.retry_cap = retry_cap
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
         self.trace_path_fn = trace_path_fn
@@ -280,18 +265,11 @@ class SweepSupervisor:
         self.failures = []
 
     # ------------------------------------------------------------------
-    def _trace_path(self, spec):
-        if self.trace_path_fn is not None:
-            return self.trace_path_fn(spec)
-        if self.trace_dir is None:
-            return None
-        return trace_path_for(self.trace_dir, spec)
-
     def _backoff(self, attempt):
         """Delay before retry number ``attempt`` (1-based), in seconds."""
         if self.retry_base <= 0:
             return 0.0
-        return min(self.retry_cap, self.retry_base * (2 ** (attempt - 1)))
+        return min(RETRY_CAP, self.retry_base * (2 ** (attempt - 1)))
 
     # ------------------------------------------------------------------
     def run(self):
@@ -301,11 +279,11 @@ class SweepSupervisor:
         cell that failed permanently, a
         :class:`~repro.sim.stats.RunFailure`.
         """
-        specs = list(self.specs)
-        uniques = list(dict.fromkeys(specs))
-        total = len(uniques)
+        plan = CellPlan(self.specs, cache=self.cache, progress=self.progress,
+                        trace_dir=self.trace_dir,
+                        trace_path_fn=self.trace_path_fn)
         salt = version_salt()
-        digests = {spec: spec.digest(salt) for spec in uniques}
+        digests = {spec: spec.digest(salt) for spec in plan.uniques}
 
         journal = {}
         ckpt = None
@@ -313,61 +291,49 @@ class SweepSupervisor:
             if self.resume:
                 journal = Checkpoint.load(self.checkpoint_path)
             ckpt = Checkpoint(self.checkpoint_path, fresh=not self.resume)
-            ckpt.record("sweep", total=total, resumed=bool(journal))
-
-        if self.trace_dir is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
-
-        done_count = 0
-        resolved = {}
+            ckpt.record("sweep", total=len(plan.uniques),
+                        resumed=bool(journal))
         self.failures = []
 
-        def note(spec, cached):
-            nonlocal done_count
-            done_count += 1
-            if self.progress is not None:
-                self.progress(done_count, total, spec, cached)
-
-        # -- resolve journal + cache hits up front ---------------------
-        pending = []
-        for spec in uniques:
+        def lookup(spec):
+            # A spec is done on resume only with its own done record.
             entry = journal.get(digests[spec])
             if entry and entry.get("state") == "done" and "stats" in entry:
-                resolved[spec] = result_from_dict(entry["stats"])
-                note(spec, True)
-                continue
-            if self.cache is not None and self._trace_path(spec) is None:
-                stats = self.cache.get(spec)
-                if stats is not None:
-                    resolved[spec] = stats
-                    if ckpt:
-                        ckpt.record("cell", state="done",
-                                    digest=digests[spec],
-                                    label=spec.label(), attempts=0,
-                                    cached=True, stats=stats.to_dict())
-                    note(spec, True)
-                    continue
-            pending.append(spec)
+                return result_from_dict(entry["stats"])
+            stats = plan.cache_hit(spec)
+            if stats is not None and ckpt:
+                ckpt.record("cell", state="done", digest=digests[spec],
+                            label=spec.label(), attempts=0, cached=True,
+                            stats=stats.to_dict())
+            return stats
 
-        attempts = {spec: 0 for spec in pending}
-        ready = deque(pending)
-        waiting = []  # heap of (not_before, seq, spec)
+        plan.resolve_hits(lookup)
+        # One work unit per replay identity, named by its first spec.
+        groups = {members[0]: members for members in plan.groups()}
+        attempts = dict.fromkeys(groups, 0)
+        ready = deque(groups)
+        waiting = []  # heap of (not_before, seq, first spec)
         seq = 0
         in_flight = {}
         workers = resolve_jobs(self.jobs)
         ctx = multiprocessing.get_context()
 
-        def launch(spec):
-            attempt = attempts[spec]
+        def record_group(first, state, **fields):
             if ckpt:
-                ckpt.record("cell", state="running", digest=digests[spec],
-                            label=spec.label(), attempt=attempt)
+                ckpt.record("cell", state=state, digest=digests[first],
+                            label=first.label(),
+                            members=[digests[s] for s in groups[first]],
+                            **fields)
+
+        def launch(first):
+            attempt = attempts[first]
+            record_group(first, "running", attempt=attempt)
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             payload = {
-                "spec": spec.to_dict(),
-                "trace_path": self._trace_path(spec),
+                "spec": first.to_dict(),
+                "trace_path": plan.trace_path(first),
                 "attempt": attempt,
-                "label": spec.label(),
+                "label": first.label(),
             }
             if self.fault_plan is not None and len(self.fault_plan):
                 payload["faults"] = self.fault_plan.to_dict()
@@ -377,43 +343,47 @@ class SweepSupervisor:
             child_conn.close()
             deadline = (time.monotonic() + self.timeout
                         if self.timeout is not None else None)
-            in_flight[spec] = _InFlight(process, parent_conn, deadline)
+            in_flight[first] = (process, parent_conn, deadline)
 
-        def complete(spec, stats):
-            if self.cache is not None:
-                self.cache.put(spec, stats)
-                if (self.fault_plan is not None
-                        and self.fault_plan.corrupts(spec.label())):
-                    corrupt_file(str(self.cache.path_for(spec)))
-            resolved[spec] = stats
+        def reap(first, kill=False):
+            process, conn, _ = in_flight.pop(first)
+            if kill:
+                process.kill()
+            process.join()
+            conn.close()
+            return process.exitcode
+
+        def record_done(tries, spec, stats):
+            if (self.cache is not None and self.fault_plan is not None
+                    and self.fault_plan.corrupts(spec.label())):
+                corrupt_file(str(self.cache.path_for(spec)))
             if ckpt:
                 ckpt.record("cell", state="done", digest=digests[spec],
-                            label=spec.label(), attempts=attempts[spec] + 1,
+                            label=spec.label(), attempts=tries,
                             stats=stats.to_dict())
-            note(spec, False)
 
-        def attempt_failed(spec, kind, error):
-            nonlocal seq
-            attempts[spec] += 1
-            if attempts[spec] <= self.retries:
-                delay = self._backoff(attempts[spec])
-                if ckpt:
-                    ckpt.record("cell", state="retry", digest=digests[spec],
-                                label=spec.label(), attempt=attempts[spec],
-                                fail_kind=kind, error=error, delay=delay)
-                seq += 1
-                heapq.heappush(waiting,
-                               (time.monotonic() + delay, seq, spec))
-                return
-            failure = RunFailure(spec.workload, spec.scheme,
-                                 label=spec.label(), kind=kind, error=error,
-                                 attempts=attempts[spec])
-            resolved[spec] = failure
+        def record_failed(spec, failure):
             self.failures.append(failure)
             if ckpt:
                 ckpt.record("cell", state="failed", digest=digests[spec],
                             label=spec.label(), failure=failure.to_dict())
-            note(spec, False)
+
+        def attempt_failed(first, kind, error):
+            nonlocal seq
+            attempts[first] += 1
+            if attempts[first] <= self.retries:
+                delay = self._backoff(attempts[first])
+                record_group(first, "retry", attempt=attempts[first],
+                             fail_kind=kind, error=error, delay=delay)
+                seq += 1
+                heapq.heappush(waiting,
+                               (time.monotonic() + delay, seq, first))
+                return
+            for spec in groups[first]:
+                plan.resolve(spec, RunFailure(
+                    spec.workload, spec.scheme, label=spec.label(),
+                    kind=kind, error=error, attempts=attempts[first]),
+                    record_failed)
             if (self.max_failures is not None
                     and len(self.failures) > self.max_failures):
                 self._abort(ckpt)
@@ -433,45 +403,39 @@ class SweepSupervisor:
                                 max(0.0, waiting[0][0] - time.monotonic())))
                     continue
 
-                conns = [cell.conn for cell in in_flight.values()]
-                readable = mpconnection.wait(conns, timeout=POLL_INTERVAL)
-                for spec, cell in list(in_flight.items()):
-                    if cell.conn in readable:
+                readable = mpconnection.wait(
+                    [conn for _, conn, _ in in_flight.values()],
+                    timeout=POLL_INTERVAL)
+                for first, (_, conn, deadline) in list(in_flight.items()):
+                    if conn in readable:
                         try:
-                            message = cell.conn.recv()
+                            message = conn.recv()
                         except (EOFError, OSError):
                             message = None
-                        cell.process.join()
-                        cell.conn.close()
-                        del in_flight[spec]
+                        exitcode = reap(first)
                         if message is not None and message[0] == "ok":
-                            complete(spec, result_from_dict(message[1]))
+                            plan.settle(groups[first], message[1], partial(
+                                record_done, attempts[first] + 1))
                         elif message is not None:
-                            attempt_failed(spec, "error", message[1])
+                            attempt_failed(first, "error", message[1])
                         else:
                             attempt_failed(
-                                spec, "crash",
+                                first, "crash",
                                 "worker died without a result (exit code "
-                                "%s)" % cell.process.exitcode)
-                    elif (cell.deadline is not None
-                          and time.monotonic() > cell.deadline):
-                        cell.process.kill()
-                        cell.process.join()
-                        cell.conn.close()
-                        del in_flight[spec]
+                                "%s)" % exitcode)
+                    elif deadline is not None and time.monotonic() > deadline:
+                        reap(first, kill=True)
                         attempt_failed(
-                            spec, "timeout",
+                            first, "timeout",
                             "worker exceeded the %.1fs timeout"
                             % self.timeout)
         finally:
-            for cell in in_flight.values():
-                cell.process.kill()
-                cell.process.join()
-                cell.conn.close()
+            for first in list(in_flight):
+                reap(first, kill=True)
             if ckpt:
                 ckpt.close()
 
-        return [resolved[spec] for spec in specs]
+        return plan.results()
 
     # ------------------------------------------------------------------
     def _abort(self, ckpt):

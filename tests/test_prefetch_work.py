@@ -69,12 +69,17 @@ REFS = 2000
 #: gaze and chase, which queue candidates from their L2 access and miss
 #: hooks, are gated on one prefetching cell each (11,078 and 52,839
 #: calls before the gate, 11,060 and 51,783 before the state read).
+#: swim/stride gates the stride engine, which queues its own candidates
+#: (its stream buffers fill no L2 line): reading ``_entries`` through a
+#: property that called ``has_candidates()`` made 17,447 calls, and the
+#: engine's own state read 13,447.
 BUDGETS = {
     ("ammp", "srp"): (19944, 10202),
     ("mcf", "grp"): (1803, 32088),
     ("mcf", "none"): (0, 2646),
     ("applu", "gaze"): (632, 9060),
     ("mcf", "chase"): (3463, 49783),
+    ("swim", "stride"): (0, 13447),
 }
 
 #: (workload, scheme) -> budget of opcodes executed in repro frames for

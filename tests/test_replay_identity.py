@@ -1,12 +1,13 @@
 """Replay identity: one run for every spec whose compile coincides.
 
 A run reads the compiler only through its ``CompileResult``, so
-``run_batch`` keys specs by ``replay_key`` — the spec with its policy
-replaced by the compile's fingerprint — and simulates each key once.
-These tests pin the sharing (which specs merge, which do not, serial,
-``jobs=2`` and traced batches), the fingerprint's field coverage, and
-the compile memo that lets a spec's key and its replay share one
-compile.
+``run_batch`` and ``SweepSupervisor`` key specs by ``replay_key`` — the
+spec with its policy replaced by the compile's fingerprint — and
+simulate each key once.  These tests pin the sharing (which specs
+merge, which do not, serial, ``jobs=2``, traced and supervised
+batches, and how a supervised group journals, fails and resumes), the
+fingerprint's field coverage, and the compile memo that lets a spec's
+key and its replay share one compile.
 """
 
 import json
@@ -19,9 +20,11 @@ from repro.compiler.hints import HintTable, LoadHint
 from repro.compiler.passes.indirect import IndirectInfo
 from repro.sim import batch, runner
 from repro.sim.batch import run_batch
-from repro.sim.cache import ResultCache
+from repro.sim.cache import ResultCache, version_salt
+from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.runner import execute, replay_key
 from repro.sim.spec import RunSpec
+from repro.sim.supervisor import JournalTailer, SweepSupervisor
 
 REFS = 1500
 POLICIES = ("conservative", "default", "aggressive")
@@ -113,6 +116,88 @@ class TestSharing:
         for spec in cells:
             assert os.path.exists(batch.trace_path_for(str(tmp_path), spec))
         assert len({dump(stats) for stats in results}) == 1
+
+
+def journal(path, state):
+    """The records of one state in a checkpoint journal, in order."""
+    return [record for record in JournalTailer(path).poll()
+            if record.get("state") == state]
+
+
+def digests(cells):
+    return [spec.digest(version_salt()) for spec in cells]
+
+
+class TestSupervisedSharing:
+    """The supervisor makes one attempt per replay identity."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_group_runs_once_and_settles_every_member(self, jobs,
+                                                      tmp_path):
+        cells = specs("mcf")
+        cache = ResultCache(tmp_path / "cache")
+        ckpt = str(tmp_path / "sweep.ckpt")
+        results = SweepSupervisor(cells, jobs=jobs, cache=cache,
+                                  checkpoint=ckpt).run()
+        assert [dump(stats) for stats in results] == \
+            [dump(stats) for stats in run_batch(cells, jobs=1)]
+        assert len({id(stats) for stats in results}) == 3
+        running = journal(ckpt, "running")
+        assert len(running) == 1
+        assert running[0]["digest"] == digests(cells)[0]
+        assert running[0]["members"] == digests(cells)
+        assert [r["digest"] for r in journal(ckpt, "done")] == \
+            digests(cells)
+        assert len(cache) == 3
+        for spec, stats in zip(cells, results):
+            assert dump(cache.get(spec)) == dump(stats)
+
+    def test_exhausted_group_fails_every_member(self, tmp_path):
+        cells = specs("mcf")
+        ckpt = str(tmp_path / "sweep.ckpt")
+        plan = FaultPlan([FaultRule("error", match=cells[0].label())])
+        supervisor = SweepSupervisor(cells, retries=0, checkpoint=ckpt,
+                                     fault_plan=plan)
+        results = supervisor.run()
+        assert [(r.ok, r.kind, r.attempts) for r in results] == \
+            [(False, "error", 1)] * 3
+        assert [r.label for r in results] == [s.label() for s in cells]
+        assert [r.label for r in supervisor.failures] == \
+            [s.label() for s in cells]
+        assert [r["digest"] for r in journal(ckpt, "failed")] == \
+            digests(cells)
+
+    def test_worker_faults_match_the_first_label(self):
+        # The group's worker runs its first spec, so a worker fault
+        # aimed at a later member's label never fires.
+        cells = specs("mcf")
+        plan = FaultPlan([FaultRule("error", match=cells[1].label())])
+        supervisor = SweepSupervisor(cells, retries=0, fault_plan=plan)
+        assert all(stats.ok for stats in supervisor.run())
+
+    def test_resume_reruns_only_unfinished_members(self, tmp_path):
+        cells = specs("mcf")
+        ckpt = str(tmp_path / "sweep.ckpt")
+        SweepSupervisor(cells, checkpoint=ckpt).run()
+        # Cut the journal where a kill after the first member's done
+        # record leaves it.
+        with open(ckpt) as handle:
+            lines = handle.readlines()
+        first_done = next(i for i, line in enumerate(lines)
+                          if '"state": "done"' in line)
+        with open(ckpt, "w") as handle:
+            handle.writelines(lines[:first_done + 1])
+        seen = []
+        results = SweepSupervisor(
+            cells, checkpoint=ckpt, resume=True,
+            progress=lambda done, total, spec, cached:
+            seen.append((spec, cached))).run()
+        assert seen == [(cells[0], True), (cells[1], False),
+                        (cells[2], False)]
+        assert journal(ckpt, "running")[-1]["members"] == \
+            digests(cells[1:])
+        assert [dump(stats) for stats in results] == \
+            [dump(stats) for stats in run_batch(cells, jobs=1)]
 
 
 class TestCompileMemo:

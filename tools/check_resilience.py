@@ -23,6 +23,13 @@ first run's checkpoint journal — and asserts both CSVs are
 byte-identical to the uninterrupted ``run_batch`` baseline, so the
 resilience machinery provably covers CoRunSpec cells too.
 
+A sixth check kills the supervisor inside one replay identity: mcf/grp
+under the conservative, default and aggressive policies compiles alike,
+so the supervisor makes one run for the three specs.  The subprocess
+SIGKILLs itself once the group's first member has its ``done`` record;
+the resumed sweep must re-run only the other two, and its CSV must be
+byte-identical to ``run_batch``'s.
+
 Exit status is nonzero the moment any recovered result diverges from the
 uninterrupted run.
 
@@ -39,10 +46,11 @@ import tempfile
 
 from repro.report.export import runs_to_csv
 from repro.sim.batch import run_batch
-from repro.sim.cache import ResultCache
+from repro.sim.cache import ResultCache, version_salt
 from repro.sim.faults import FaultPlan
+from repro.sim.runner import replay_key
 from repro.sim.spec import CoRunSpec, RunSpec
-from repro.sim.supervisor import SweepSupervisor
+from repro.sim.supervisor import JournalTailer, SweepSupervisor
 
 REFS = 2000
 SWEEP = [
@@ -93,7 +101,13 @@ def specs():
             for bench, scheme in SWEEP]
 
 
-def die_after(checkpoint, cache_dir, count):
+def shared_specs():
+    """mcf/grp under GRP's three compiler policies: one replay identity."""
+    return [RunSpec.create("mcf", "grp", policy=policy, limit_refs=REFS)
+            for policy in ("conservative", "default", "aggressive")]
+
+
+def die_after(checkpoint, cache_dir, count, cells=None):
     """Subprocess mode: SIGKILL ourselves after ``count`` cells finish.
 
     ``jobs=1`` means no worker is in flight at the progress callback, so
@@ -104,7 +118,7 @@ def die_after(checkpoint, cache_dir, count):
         if done >= count:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    SweepSupervisor(specs(), jobs=1, cache=ResultCache(cache_dir),
+    SweepSupervisor(cells or specs(), jobs=1, cache=ResultCache(cache_dir),
                     checkpoint=checkpoint, progress=kill_self).run()
     fail("self-kill subprocess survived its own SIGKILL")
 
@@ -148,6 +162,44 @@ def check_parent_kill_resume(baseline_csv):
         fail("resumed sweep's CSV diverged from the uninterrupted run")
     print("parent-kill resume: journal restored %d cells, resumed sweep "
           "matches byte-for-byte" % KILL_AFTER)
+
+
+def check_shared_key_resume():
+    cells = shared_specs()
+    if len({replay_key(spec) for spec in cells}) != 1:
+        fail("mcf/grp's three policies no longer share one replay key")
+    digests = [spec.digest(version_salt()) for spec in cells]
+    baseline_csv = runs_to_csv(run_batch(cells, jobs=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = os.path.join(tmp, "shared.ckpt")
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--die-in-group",
+             "1", "--checkpoint", checkpoint,
+             "--cache-dir", os.path.join(tmp, "cache")],
+            env=dict(os.environ,
+                     PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=600)
+        if proc.returncode == 0:
+            fail("self-kill subprocess exited cleanly:\n%s" % proc.stderr)
+        tailer = JournalTailer(checkpoint)
+        done = [r["digest"] for r in tailer.poll()
+                if r.get("state") == "done"]
+        if done != digests[:1]:
+            fail("the kill left done records %r, want the group's first "
+                 "member's only" % done)
+        # Resume with no cache: the journal carries the first member,
+        # and the group re-runs for the other two.
+        results = SweepSupervisor(cells, jobs=2, cache=None,
+                                  checkpoint=checkpoint, resume=True).run()
+        running = [r["members"] for r in tailer.poll()
+                   if r.get("state") == "running"]
+    if running != [digests[1:]]:
+        fail("the resumed sweep ran %r, want one run for the two "
+             "unfinished members" % running)
+    if runs_to_csv(results) != baseline_csv:
+        fail("resumed shared-key sweep's CSV diverged from run_batch's")
+    print("shared-key resume: killed after 1 of %d members of one replay "
+          "identity, resumed with one run, byte-identical" % len(cells))
 
 
 def check_corun_recovery():
@@ -206,9 +258,11 @@ def main(argv=None):
     # Hidden subprocess mode used by check_parent_kill_resume.
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "--die-after":
+    if argv and argv[0] in ("--die-after", "--die-in-group"):
         die_after(checkpoint=argv[3], cache_dir=argv[5],
-                  count=int(argv[1]))
+                  count=int(argv[1]),
+                  cells=shared_specs() if argv[0] == "--die-in-group"
+                  else None)
         return
 
     baseline_csv = runs_to_csv(run_batch(specs(), jobs=2))
@@ -216,9 +270,11 @@ def main(argv=None):
     check_parent_kill_resume(baseline_csv)
     check_quarantine()
     check_corun_recovery()
-    print("resilience check passed: %d-cell sweep (+%d co-runs) recovered "
-          "identically from worker faults and a parent SIGKILL"
-          % (len(SWEEP), len(CORUN_SWEEP)))
+    check_shared_key_resume()
+    print("resilience check passed: %d-cell sweep (+%d co-runs, +%d specs "
+          "of one replay identity) recovered identically from worker "
+          "faults and parent SIGKILLs"
+          % (len(SWEEP), len(CORUN_SWEEP), len(shared_specs())))
 
 
 if __name__ == "__main__":
